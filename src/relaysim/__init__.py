@@ -56,4 +56,4 @@ from .selection import (
     select_source_antenna,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

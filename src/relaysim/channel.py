@@ -72,9 +72,9 @@ class LinkSnrs:
 def draw_realization(cfg: SystemConfig, rng: RngStream) -> ChannelRealization:
     """Draw one independent Rayleigh block for all three links."""
     gen = rng.generator()
-    h_sd = sample_complex_gaussian(gen, cfg.n_d, cfg.n_s, cfg.lambda_sd)
-    h_sr = sample_complex_gaussian(gen, cfg.n_r, cfg.n_s, cfg.lambda_sr)
-    h_rd = sample_complex_gaussian(gen, cfg.n_d, cfg.n_r, cfg.lambda_rd)
+    h_sd = sample_complex_gaussian(gen, cfg.n_d, cfg.n_s, variance=cfg.lambda_sd)
+    h_sr = sample_complex_gaussian(gen, cfg.n_r, cfg.n_s, variance=cfg.lambda_sr)
+    h_rd = sample_complex_gaussian(gen, cfg.n_d, cfg.n_r, variance=cfg.lambda_rd)
     return ChannelRealization(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd)
 
 

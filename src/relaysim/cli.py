@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
 
 from . import __version__
 from .channel import SystemConfig, config_from_mean_snrs_db
+from .errors import InvalidParameterError
 from .montecarlo import (
     fit_diversity,
     run_ber,
@@ -54,6 +56,15 @@ def load_spec(path: str) -> tuple[dict | None, list[str]]:
     return spec, validate_spec(spec)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number (bools, NaN and infinities excluded)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def validate_spec(spec: dict) -> list[str]:
     """Full structural and range validation; returns every violation found."""
     diags = []
@@ -68,7 +79,7 @@ def validate_spec(spec: dict) -> list[str]:
     else:
         for key in ("n_s", "n_r", "n_d"):
             v = system.get(key)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 diags.append(f"system.{key}: must be an integer >= 1, got {v!r}")
 
     strategies = spec.get("strategies")
@@ -88,41 +99,51 @@ def validate_spec(spec: dict) -> list[str]:
             diags.append(f"sweep.axis: must be one of {_AXES}, got {axis!r}")
         values = sweep.get("values")
         if not isinstance(values, list) or len(values) < 1 or \
-                not all(isinstance(v, (int, float)) for v in values):
-            diags.append("sweep.values: required list of numbers")
+                not all(_is_number(v) for v in values):
+            diags.append("sweep.values: required list of finite numbers")
         elif any(b <= a for a, b in zip(values, values[1:])):
             diags.append("sweep.values: must be strictly increasing")
         for key in ("lambda_sd", "lambda_sr", "lambda_rd"):
             v = sweep.get(key)
-            if v is not None and (not isinstance(v, (int, float)) or v <= 0):
-                diags.append(f"sweep.{key}: must be a positive number, got {v!r}")
+            if v is not None and (not _is_number(v) or v <= 0):
+                diags.append(f"sweep.{key}: must be a finite positive number, got {v!r}")
+        relay_db = sweep.get("relay_mean_snr_db")
+        if relay_db is not None and not _is_number(relay_db):
+            diags.append(f"sweep.relay_mean_snr_db: must be a finite number, got {relay_db!r}")
         ref = sweep.get("snr_reference", "per-pair")
         if ref not in ("per-pair", "aggregate"):
             diags.append(f"sweep.snr_reference: must be 'per-pair' or 'aggregate', got {ref!r}")
 
     trials = spec.get("trials")
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         diags.append(f"trials: must be an integer >= 1, got {trials!r}")
 
     seed = spec.get("seed", 0)
-    if not isinstance(seed, int) or not (0 <= seed < 2**64):
+    if not _is_int(seed) or not (0 <= seed < 2**64):
         diags.append(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
 
     if mode in ("outage", "diversity"):
         gamma0 = spec.get("gamma0")
-        if not isinstance(gamma0, (int, float)) or gamma0 <= 0:
+        if not _is_number(gamma0) or gamma0 <= 0:
             diags.append(f"gamma0: must be a positive number for mode {mode!r}, got {gamma0!r}")
 
     es = spec.get("early_stop_errors")
-    if es is not None and (not isinstance(es, int) or es < 1):
+    if es is not None and (not _is_int(es) or es < 1):
         diags.append(f"early_stop_errors: must be an integer >= 1 or null, got {es!r}")
 
     window = spec.get("fit_window")
     if window is not None:
         if (not isinstance(window, list) or len(window) != 2
-                or not all(isinstance(v, (int, float)) and v > 0 for v in window)
+                or not all(_is_number(v) and v > 0 for v in window)
                 or window[0] >= window[1]):
             diags.append(f"fit_window: must be [low, high] with 0 < low < high, got {window!r}")
+
+    if not diags:
+        # in-range numbers can still give a zero or overflowing linear gain
+        try:
+            _sweep_points(spec)
+        except (InvalidParameterError, OverflowError) as exc:
+            diags.append(f"sweep: a point has no valid link gains: {exc}")
 
     return diags
 
@@ -195,6 +216,9 @@ def _resolve_threads(args) -> int:
 
 def _run_experiment(args, mode: str) -> int:
     spec, diags = load_spec(args.config)
+    overrides = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
+    if spec is not None and overrides:
+        diags = validate_spec({**spec, **overrides})
     if spec is not None and spec.get("mode") not in (None, mode):
         diags.append(f"mode: spec says {spec.get('mode')!r} but subcommand is {mode!r}")
     if diags:

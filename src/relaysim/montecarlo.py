@@ -1,5 +1,10 @@
 """BER and outage Monte Carlo engines, confidence intervals, diversity fits.
 
+Both engines run one batched pipeline per chunk: draw the channels, take the
+per-antenna link SNRs (gains), apply the selection rule (:func:`select`),
+and count outages; the BER engine also pushes one symbol per trial through
+the two-slot relay chain and counts detection errors.
+
 Trials are processed in fixed-size chunks; chunk c of sweep point p draws all
 its randomness from the Philox substream (seed, p * 2^32 + c).  Chunk
 boundaries never depend on the worker count, and per-chunk integer counts are
@@ -10,14 +15,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .channel import SystemConfig
 from .errors import InsufficientStatisticsError, InvalidParameterError
-from .numerics import RngStream, dominant_singular_pair_batch
+from .numerics import RngStream, dominant_singular_pair_batch, sample_complex_gaussian
+from .relaying import af_constants
 from .selection import STRATEGIES, gamma_srd, mrc_post_snr
 
 CHUNK = 1 << 14
@@ -98,45 +105,55 @@ def diversity_order(n_s: int, n_r: int, n_d: int) -> int:
 
 def _draw_channels(gen, n: int, cfg: SystemConfig):
     """Fixed draw order shared by both engines: h_sd, h_sr, h_rd."""
-
-    def cgauss(shape, lam):
-        re = gen.standard_normal(shape)
-        im = gen.standard_normal(shape)
-        return math.sqrt(lam / 2.0) * (re + 1j * im)
-
-    h_sd = cgauss((n, cfg.n_d, cfg.n_s), cfg.lambda_sd)
-    h_sr = cgauss((n, cfg.n_r, cfg.n_s), cfg.lambda_sr)
-    h_rd = cgauss((n, cfg.n_d, cfg.n_r), cfg.lambda_rd)
+    h_sd = sample_complex_gaussian(gen, n, cfg.n_d, cfg.n_s, variance=cfg.lambda_sd)
+    h_sr = sample_complex_gaussian(gen, n, cfg.n_r, cfg.n_s, variance=cfg.lambda_sr)
+    h_rd = sample_complex_gaussian(gen, n, cfg.n_d, cfg.n_r, variance=cfg.lambda_rd)
     return h_sd, h_sr, h_rd
 
 
-def _selected_gamma(cfg: SystemConfig, strategy: str, g_sd, g_sr, g_rd, h_rd):
-    """Per-trial post-SNR of the selected configuration (closed forms)."""
+def _gains(cfg: SystemConfig, h_sd, h_sr, h_rd):
+    """Per-antenna link SNRs gamma_xy = snr * ||column||^2, each (n, antennas)."""
+    return tuple(cfg.snr * np.sum(np.abs(h) ** 2, axis=1) for h in (h_sd, h_sr, h_rd))
+
+
+def select(cfg: SystemConfig, strategy: str, g_sd, g_sr, g_rd, h_rd):
+    """Batched selection rules with perfect CSI.
+
+    Returns (i, k, v, gamma): the source antenna and relay antenna per trial
+    (k is None when the relay does not transmit on one antenna), the relay
+    beam (n, N_R) of ``optimal-relay-filter`` or None, and the closed-form
+    post-SNR of the selected configuration.
+    """
+    rows = np.arange(g_sd.shape[0])
+    k = v = None
     if strategy == "direct-only":
-        return g_sd.max(axis=1)
-    if strategy == "mmse-receiver":
-        rd_best = g_rd.max(axis=1)
-        return (g_sd + gamma_srd(g_sr, rd_best[:, None])).max(axis=1)
-    if strategy == "mrc-receiver":
+        per_i = g_sd
+    elif strategy == "mmse-receiver":
+        k = np.argmax(g_rd, axis=1)
+        per_i = g_sd + gamma_srd(g_sr, g_rd[rows, k][:, None])
+    elif strategy == "mrc-receiver":
         grid = mrc_post_snr(g_sd[:, :, None], g_sr[:, :, None], g_rd[:, None, :])
-        return grid.reshape(grid.shape[0], -1).max(axis=1)
-    if strategy == "optimal-relay-filter":
-        sigma, _ = dominant_singular_pair_batch(h_rd)
-        g_lam = cfg.snr * sigma * sigma
-        return (g_sd + gamma_srd(g_sr, g_lam[:, None])).max(axis=1)
-    if strategy == "fixed-antenna":
-        return g_sd[:, 0] + gamma_srd(g_sr[:, 0], g_rd[:, 0])
-    raise InvalidParameterError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
+        grid = grid.reshape(rows.size, -1)
+        flat = np.argmax(grid, axis=1)
+        i, k = np.unravel_index(flat, (cfg.n_s, cfg.n_r))
+        return i, k, None, grid[rows, flat]
+    elif strategy == "optimal-relay-filter":
+        sigma, v = dominant_singular_pair_batch(h_rd)
+        per_i = g_sd + gamma_srd(g_sr, (cfg.snr * sigma * sigma)[:, None])
+    elif strategy == "fixed-antenna":
+        i = k = np.zeros(rows.size, dtype=int)
+        return i, k, None, g_sd[:, 0] + gamma_srd(g_sr[:, 0], g_rd[:, 0])
+    else:
+        raise InvalidParameterError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
+    i = np.argmax(per_i, axis=1)
+    return i, k, v, per_i[rows, i]
 
 
 def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
                   stream: RngStream, n: int) -> int:
-    gen = stream.generator()
-    h_sd, h_sr, h_rd = _draw_channels(gen, n, cfg)
-    g_sd = cfg.snr * np.sum(np.abs(h_sd) ** 2, axis=1)
-    g_sr = cfg.snr * np.sum(np.abs(h_sr) ** 2, axis=1)
-    g_rd = cfg.snr * np.sum(np.abs(h_rd) ** 2, axis=1)
-    gamma = _selected_gamma(cfg, strategy, g_sd, g_sr, g_rd, h_rd)
+    """Count the trials whose selected post-SNR falls below gamma0."""
+    h_sd, h_sr, h_rd = _draw_channels(stream.generator(), n, cfg)
+    _, _, _, gamma = select(cfg, strategy, *_gains(cfg, h_sd, h_sr, h_rd), h_rd)
     return int(np.count_nonzero(gamma < gamma0))
 
 
@@ -146,77 +163,38 @@ def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> i
     es = cfg.snr
     h_sd, h_sr, h_rd = _draw_channels(gen, n, cfg)
     bits = gen.integers(0, 2, n)
+    n_r = sample_complex_gaussian(gen, n, cfg.n_r)
+    n_d1 = sample_complex_gaussian(gen, n, cfg.n_d)
+    n_d2 = sample_complex_gaussian(gen, n, cfg.n_d)
+    i, k, v, _ = select(cfg, strategy, *_gains(cfg, h_sd, h_sr, h_rd), h_rd)
 
-    def cgauss(shape):
-        return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / math.sqrt(2.0)
-
-    n_r = cgauss((n, cfg.n_r))
-    n_d1 = cgauss((n, cfg.n_d))
-    n_d2 = cgauss((n, cfg.n_d))
-
-    s = (1.0 - 2.0 * bits) * math.sqrt(es)
-    g_sd = es * np.sum(np.abs(h_sd) ** 2, axis=1)
-    g_sr = es * np.sum(np.abs(h_sr) ** 2, axis=1)
-    g_rd = es * np.sum(np.abs(h_rd) ** 2, axis=1)
+    # first slot: the destination hears the selected source antenna directly
     rows = np.arange(n)
-
-    if strategy == "direct-only":
-        i = np.argmax(g_sd, axis=1)
-        h_i = h_sd[rows, :, i]
-        y1 = h_i * s[:, None] + n_d1
-        stat = np.real(np.einsum("ti,ti->t", h_i.conj(), y1))
-        return int(np.count_nonzero((stat < 0) != bits.astype(bool)))
-
-    v_filter = None
-    if strategy == "mmse-receiver":
-        k = np.argmax(g_rd, axis=1)
-        i = np.argmax(g_sd + gamma_srd(g_sr, g_rd[rows, k][:, None]), axis=1)
-        receiver = "mmse"
-    elif strategy == "mrc-receiver":
-        grid = mrc_post_snr(g_sd[:, :, None], g_sr[:, :, None], g_rd[:, None, :])
-        flat = np.argmax(grid.reshape(n, -1), axis=1)
-        i, k = np.unravel_index(flat, (cfg.n_s, cfg.n_r))
-        receiver = "mrc"
-    elif strategy == "fixed-antenna":
-        i = np.zeros(n, dtype=int)
-        k = np.zeros(n, dtype=int)
-        receiver = "mmse"
-    elif strategy == "optimal-relay-filter":
-        sigma, v_filter = dominant_singular_pair_batch(h_rd)
-        g_lam = es * sigma * sigma
-        i = np.argmax(g_sd + gamma_srd(g_sr, g_lam[:, None]), axis=1)
-        k = None
-        receiver = "mmse"
-    else:
-        raise InvalidParameterError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
-
+    s = (1.0 - 2.0 * bits) * math.sqrt(es)
     h_sd_i = h_sd[rows, :, i]
-    h_sr_i = h_sr[rows, :, i]
-    if v_filter is None:
-        r_vec = h_rd[rows, :, k]
-    else:
-        r_vec = np.einsum("tdr,tr->td", h_rd, v_filter)
-
-    g = np.sum(np.abs(h_sr_i) ** 2, axis=1)
-    g = np.maximum(g, 1e-300)  # measure-zero guard
-    alpha = 1.0 / np.sqrt(g * g + g / es)
-
-    # relay: matched-filter combine, rescale, retransmit along r_vec
-    y_r = h_sr_i * s[:, None] + n_r
-    s_relay = alpha * np.einsum("tr,tr->t", h_sr_i.conj(), y_r)
     y1 = h_sd_i * s[:, None] + n_d1
-    y2 = r_vec * s_relay[:, None] + n_d2
+    stat = np.einsum("ti,ti->t", h_sd_i.conj(), y1)
 
-    a = np.sqrt(g) / np.sqrt(g + 1.0 / es)
-    w1 = h_sd_i
-    if receiver == "mrc":
-        w2 = a[:, None] * r_vec
-    else:
-        c = 1.0 / (g + 1.0 / es)
-        w2 = (a / (1.0 + c * np.sum(np.abs(r_vec) ** 2, axis=1)))[:, None] * r_vec
-    stat = np.real(np.einsum("ti,ti->t", w1.conj(), y1) +
-                   np.einsum("ti,ti->t", w2.conj(), y2))
-    return int(np.count_nonzero((stat < 0) != bits.astype(bool)))
+    if strategy != "direct-only":
+        # relay: matched-filter combine, rescale, retransmit along r_vec
+        h_sr_i = h_sr[rows, :, i]
+        r_vec = h_rd[rows, :, k] if v is None else np.einsum("tdr,tr->td", h_rd, v)
+        g = np.sum(np.abs(h_sr_i) ** 2, axis=1)
+        g = np.maximum(g, 1e-300)  # measure-zero guard
+        a, c, alpha = af_constants(g, es)
+        y_r = h_sr_i * s[:, None] + n_r
+        s_relay = alpha * np.einsum("tr,tr->t", h_sr_i.conj(), y_r)
+        y2 = r_vec * s_relay[:, None] + n_d2
+
+        # destination: MRC weights the relayed slot by a; MMSE also whitens
+        # the amplified relay noise (R_n^{-1} h, a positive multiple of the
+        # MMSE filter)
+        if strategy == "mrc-receiver":
+            w2 = a[:, None] * r_vec
+        else:
+            w2 = (a / (1.0 + c * np.sum(np.abs(r_vec) ** 2, axis=1)))[:, None] * r_vec
+        stat = stat + np.einsum("ti,ti->t", w2.conj(), y2)
+    return int(np.count_nonzero((np.real(stat) < 0) != bits.astype(bool)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +230,23 @@ def _run_point(kernel, trials: int, seed: int, point_index: int, threads: int,
     return total, used
 
 
+def _sweep(points: Sequence[tuple[float, SystemConfig]], strategy: str, trials: int,
+           seed: int, threads: int, early_stop_errors: int | None,
+           kernel) -> list[tuple[float, int, int, float, float]]:
+    """Run kernel(cfg, stream, n) over every point; returns per point
+    (label_db, count, trials_used, ci_low, ci_high)."""
+    if trials < 1:
+        raise InvalidParameterError("trials_per_point must be >= 1")
+    if strategy not in STRATEGIES:
+        raise InvalidParameterError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
+    out = []
+    for p, (db, cfg) in enumerate(points):
+        count, used = _run_point(partial(kernel, cfg), trials, seed, p, threads,
+                                 early_stop_errors)
+        out.append((float(db), count, used, *wilson_interval(count, used)))
+    return out
+
+
 def run_ber_points(points: Sequence[tuple[float, SystemConfig]], strategy: str,
                    trials_per_point: int, seed: int, threads: int = 1,
                    early_stop_errors: int | None = None) -> list[BerPoint]:
@@ -260,18 +255,11 @@ def run_ber_points(points: Sequence[tuple[float, SystemConfig]], strategy: str,
     Per trial: draw a fading block, run the selection rule with perfect CSI,
     push one BPSK symbol through the two-slot chain, filter, detect.
     """
-    if trials_per_point < 1:
-        raise InvalidParameterError("trials_per_point must be >= 1")
-    if strategy not in STRATEGIES:
-        raise InvalidParameterError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
-    out = []
-    for p, (db, cfg) in enumerate(points):
-        kernel = lambda stream, n: _ber_chunk(cfg, strategy, stream, n)
-        errors, used = _run_point(kernel, trials_per_point, seed, p, threads, early_stop_errors)
-        lo, hi = wilson_interval(errors, used)
-        out.append(BerPoint(snr_db=float(db), strategy=strategy, trials=used,
-                            bit_errors=errors, ber=errors / used, ci_low=lo, ci_high=hi))
-    return out
+    results = _sweep(points, strategy, trials_per_point, seed, threads, early_stop_errors,
+                     lambda cfg, stream, n: _ber_chunk(cfg, strategy, stream, n))
+    return [BerPoint(snr_db=db, strategy=strategy, trials=used, bit_errors=errors,
+                     ber=errors / used, ci_low=lo, ci_high=hi)
+            for db, errors, used, lo, hi in results]
 
 
 def run_ber(cfg: SystemConfig, strategy: str, snr_sweep_db: Sequence[float],
@@ -293,19 +281,11 @@ def run_outage_points(points: Sequence[tuple[float, SystemConfig]], strategy: st
     """
     if gamma0 <= 0 or not math.isfinite(gamma0):
         raise InvalidParameterError(f"gamma0 must be finite and > 0, got {gamma0}")
-    if trials_per_point < 1:
-        raise InvalidParameterError("trials_per_point must be >= 1")
-    if strategy not in STRATEGIES:
-        raise InvalidParameterError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
-    out = []
-    for p, (db, cfg) in enumerate(points):
-        kernel = lambda stream, n: _outage_chunk(cfg, strategy, gamma0, stream, n)
-        count, used = _run_point(kernel, trials_per_point, seed, p, threads, early_stop_errors)
-        lo, hi = wilson_interval(count, used)
-        out.append(OutagePoint(snr_db=float(db), strategy=strategy, gamma0=gamma0,
-                               trials=used, outage_count=count, p_out=count / used,
-                               ci_low=lo, ci_high=hi))
-    return out
+    results = _sweep(points, strategy, trials_per_point, seed, threads, early_stop_errors,
+                     lambda cfg, stream, n: _outage_chunk(cfg, strategy, gamma0, stream, n))
+    return [OutagePoint(snr_db=db, strategy=strategy, gamma0=gamma0, trials=used,
+                        outage_count=count, p_out=count / used, ci_low=lo, ci_high=hi)
+            for db, count, used, lo, hi in results]
 
 
 def run_outage(cfg: SystemConfig, strategy: str, gamma0: float,

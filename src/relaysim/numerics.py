@@ -16,8 +16,6 @@ import scipy.linalg
 from .errors import DegenerateInputError, InvalidParameterError, NumericalError
 
 HERMITIAN_TOL = 1e-10
-POWER_ITER_TOL = 1e-12
-POWER_ITER_MAXIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -44,23 +42,22 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_complex_gaussian(rng, rows: int, cols: int, variance: float = 1.0) -> np.ndarray:
-    """Draw a rows x cols matrix of i.i.d. CN(0, variance) entries.
+def sample_complex_gaussian(rng, *shape: int, variance: float = 1.0) -> np.ndarray:
+    """Draw an array of the given shape of i.i.d. CN(0, variance) entries.
 
-    Real and imaginary parts are independent N(0, variance/2).  ``rng`` may
-    be an :class:`RngStream` (a fresh generator is derived, so repeated calls
-    with the same stream return the same matrix) or a ``numpy.random.Generator``
+    Real and imaginary parts are independent N(0, variance/2); the whole real
+    block is drawn before the whole imaginary block.  ``rng`` may be an
+    :class:`RngStream` (a fresh generator is derived, so repeated calls with
+    the same stream return the same array) or a ``numpy.random.Generator``
     (which is advanced in place).
     """
     if not np.isfinite(variance) or variance <= 0:
         raise InvalidParameterError(f"variance must be finite and > 0, got {variance}")
-    if rows < 1 or cols < 1:
-        raise InvalidParameterError(f"dimensions must be positive, got {rows}x{cols}")
+    if not shape or min(shape) < 1:
+        raise InvalidParameterError(f"dimensions must be positive, got {shape}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     scale = np.sqrt(variance / 2.0)
-    re = gen.standard_normal((rows, cols))
-    im = gen.standard_normal((rows, cols))
-    return scale * (re + 1j * im)
+    return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,109 +79,38 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate v so its first non-negligible entry is real and nonnegative."""
-    idx = np.flatnonzero(np.abs(v) > 1e-12 * np.linalg.norm(v))
-    if idx.size == 0:
-        return v
-    pivot = v[idx[0]]
-    return v * (abs(pivot) / pivot)
+    """Rotate each unit-norm row of v (B, n) so its first non-negligible
+    entry is real and nonnegative."""
+    first = np.argmax(np.abs(v) > 1e-12, axis=1)
+    pivot = np.take_along_axis(v, first[:, None], axis=1)
+    return v * (np.abs(pivot) / pivot)
 
 
 def dominant_singular_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest singular value of ``a`` and its right singular vector.
 
-    Power iteration on a*a; for the at-most-8x8 matrices used here this
-    converges in a handful of steps.  The returned vector has unit norm and
-    its first nonzero entry is real nonnegative.  With a repeated top
-    singular value any unit vector in the dominant subspace may be returned.
+    A batch of one for :func:`dominant_singular_pair_batch`.  The returned
+    vector has unit norm and its first nonzero entry is real nonnegative.
+    With a repeated top singular value any unit vector in the dominant
+    subspace may be returned.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise InvalidParameterError(f"expected a matrix, got ndim={a.ndim}")
     if not np.any(a):
         raise DegenerateInputError("zero matrix has no dominant singular pair")
-
-    col_norms = np.linalg.norm(a, axis=0)
-    v = a.conj().T @ (a @ np.ones(a.shape[1]))
-    v[np.argmax(col_norms)] += col_norms.max()
-    nv = np.linalg.norm(v)
-    if nv < 1e-300:
-        v = np.zeros(a.shape[1], dtype=complex)
-        v[np.argmax(col_norms)] = 1.0
-    else:
-        v = v / nv
-
-    sigma = 0.0
-    for _ in range(POWER_ITER_MAXIT):
-        av = a @ v
-        sigma_new = np.linalg.norm(av)
-        w = a.conj().T @ av
-        nw = np.linalg.norm(w)
-        if nw < 1e-300:
-            # v fell in the null space; restart from the heaviest column
-            v = np.zeros(a.shape[1], dtype=complex)
-            v[np.argmax(col_norms)] = 1.0
-            continue
-        v = w / nw
-        if abs(sigma_new - sigma) <= POWER_ITER_TOL * max(sigma_new, 1e-300):
-            sigma = sigma_new
-            break
-        sigma = sigma_new
-    sigma = float(np.linalg.norm(a @ v))
-    return sigma, _fix_phase(v)
+    sigma, v = dominant_singular_pair_batch(a[None])
+    return float(sigma[0]), v[0]
 
 
-def dominant_singular_pair_batch(a: np.ndarray, maxit: int = 300) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized power iteration: top singular value/right vector per batch item.
+def dominant_singular_pair_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top singular value and right singular vector of every batch item.
 
-    ``a`` has shape (B, m, n); returns (sigma (B,), v (B, n)).  Same algorithm
-    as :func:`dominant_singular_pair`, iterated in lockstep across the batch.
-    Used by the Monte Carlo engines where per-item Python loops are too slow.
+    ``a`` has shape (B, m, n); returns (sigma (B,), v (B, n)).  The pair is
+    the top eigenpair of the Gram matrix a^H a (a Hermitian eigensolve per
+    item), with v under the phase convention of :func:`dominant_singular_pair`.
     """
     a = np.asarray(a, dtype=complex)
-    bsz, _, n = a.shape
-    col_norms = np.linalg.norm(a, axis=1)  # (B, n)
-    v = np.einsum("bmn,bm->bn", a.conj(), np.einsum("bmn,n->bm", a, np.ones(n)))
-    v[np.arange(bsz), np.argmax(col_norms, axis=1)] += col_norms.max(axis=1)
-    nv = np.linalg.norm(v, axis=1, keepdims=True)
-    fallback = nv[:, 0] < 1e-300
-    if np.any(fallback):
-        v[fallback] = 0.0
-        v[fallback, np.argmax(col_norms[fallback], axis=1)] = 1.0
-        nv = np.linalg.norm(v, axis=1, keepdims=True)
-    v = v / np.maximum(nv, 1e-300)
-
-    # active-set iteration: elements whose sigma estimate has settled drop out
-    sigma = np.zeros(bsz)
-    active = np.arange(bsz)
-    a_act, v_act, s_act = a, v, sigma
-    for _ in range(maxit):
-        av = np.einsum("bmn,bn->bm", a_act, v_act)
-        sigma_new = np.linalg.norm(av, axis=1)
-        w = np.einsum("bmn,bm->bn", a_act.conj(), av)
-        nw = np.linalg.norm(w, axis=1, keepdims=True)
-        v_act = w / np.maximum(nw, 1e-300)
-        done = np.abs(sigma_new - s_act) <= POWER_ITER_TOL * np.maximum(sigma_new, 1e-300)
-        s_act = sigma_new
-        if np.any(done):
-            idx = active[done]
-            sigma[idx] = sigma_new[done]
-            v[idx] = v_act[done]
-            keep = ~done
-            if not np.any(keep):
-                active = active[:0]
-                break
-            active = active[keep]
-            a_act, v_act, s_act = a_act[keep], v_act[keep], s_act[keep]
-    if active.size:
-        sigma[active] = s_act
-        v[active] = v_act
-    return sigma, v
-
-
-def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
-    """Validate that an array is entirely finite (no NaN/Inf)."""
-    a = np.asarray(a)
-    if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
-        raise InvalidParameterError(f"{name} contains non-finite entries")
-    return a
+    eigval, eigvec = np.linalg.eigh(np.einsum("bmi,bmj->bij", a.conj(), a))
+    sigma = np.sqrt(np.maximum(eigval[:, -1], 0.0))
+    return sigma, _fix_phase(eigvec[:, :, -1])

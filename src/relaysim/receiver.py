@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .numerics import hermitian_solve
-from .relaying import EquivalentChannel
+from .numerics import RngStream, hermitian_solve, sample_complex_gaussian
+from .relaying import EquivalentChannel, af_constants
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,10 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
     system with a batched linear solve, and evaluates E_s|w^H h|^2/(w^H R w);
     it never touches the closed forms.
     """
-    from .numerics import RngStream  # local import to keep module deps flat
-
     gen = RngStream(seed, stream_index).generator()
-
-    def cgauss(*shape):
-        return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
-
-    h_sd = cgauss(trials, n_d, n_s)
-    h_sr = cgauss(trials, n_r, n_s)
-    h_rd = cgauss(trials, n_d, n_r)
+    h_sd = sample_complex_gaussian(gen, trials, n_d, n_s)
+    h_sr = sample_complex_gaussian(gen, trials, n_r, n_s)
+    h_rd = sample_complex_gaussian(gen, trials, n_d, n_r)
     i = gen.integers(0, n_s, trials)
     k = gen.integers(0, n_r, trials)
 
@@ -90,8 +84,7 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
     r_vec = h_rd[rows, :, k]                      # (T, N_D)
     g = np.sum(np.abs(hsr_i) ** 2, axis=1)        # (T,)
 
-    a = np.sqrt(g) / np.sqrt(g + 1.0 / snr)
-    c = 1.0 / (g + 1.0 / snr)
+    a, c, _ = af_constants(g, snr)
     h = np.concatenate([hsd_i, a[:, None] * r_vec], axis=1)          # (T, 2N_D)
     r_n = np.broadcast_to(np.eye(2 * n_d, dtype=complex), (trials, 2 * n_d, 2 * n_d)).copy()
     r_n[:, n_d:, n_d:] += c[:, None, None] * np.einsum("ti,tj->tij", r_vec, r_vec.conj())

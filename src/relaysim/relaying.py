@@ -51,6 +51,21 @@ class RelayFilter:
     source_antenna: int
 
 
+def af_constants(g, snr: float):
+    """Amplify-and-forward constants for first-hop channel power g (scalar or
+    array), g = ||h_sr^(i)||^2:
+
+    a = sqrt(g)/sqrt(g + 1/snr) scales the relayed path in the stacked channel,
+    c = 1/(g + 1/snr) weighs the amplified relay noise in its covariance, and
+    alpha = 1/sqrt(g^2 + g/snr) is the relay gain.
+    """
+    g = np.asarray(g, dtype=float)
+    a = np.sqrt(g) / np.sqrt(g + 1.0 / snr)
+    c = 1.0 / (g + 1.0 / snr)
+    alpha = 1.0 / np.sqrt(g * g + g / snr)
+    return a, c, alpha
+
+
 def relay_gain(g: float, snr: float) -> float:
     """Amplification that holds the relay's expected transmit power at E_s.
 
@@ -62,15 +77,14 @@ def relay_gain(g: float, snr: float) -> float:
         raise InvalidParameterError(f"channel power must be finite and >= 0, got {g}")
     if g == 0:
         raise DegenerateInputError("relay receives nothing (zero source-relay channel)")
-    return 1.0 / math.sqrt(g * g + g / snr)
+    return float(af_constants(g, snr)[2])
 
 
 def _assemble(h_sd_col: np.ndarray, g: float, r_vec: np.ndarray, snr: float,
               source_antenna: int, relay_antenna: int | None) -> EquivalentChannel:
     """Build the stacked channel/covariance for a relayed path vector r_vec."""
     n_d = h_sd_col.shape[0]
-    a = math.sqrt(g) / math.sqrt(g + 1.0 / snr)
-    c = 1.0 / (g + 1.0 / snr)
+    a, c, _ = af_constants(g, snr)
     h = np.concatenate([h_sd_col, a * r_vec])
     r_n = np.eye(2 * n_d, dtype=complex)
     r_n[n_d:, n_d:] += c * np.outer(r_vec, r_vec.conj())

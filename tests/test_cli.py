@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from relaysim.cli import main, validate_spec
 
 
@@ -138,6 +140,29 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
         fit = manifest["diversity_fits"]["direct-only"]
         assert 0.7 <= fit["ls_slope"] <= 1.3  # direct 1x1 has diversity order 1
+
+
+@pytest.mark.parametrize("spec_overrides,argv,field", [
+    ({"gamma0": float("nan")}, [], "gamma0"),
+    ({"system": {"n_s": True, "n_r": 2, "n_d": 2}}, [], "system.n_s"),
+    ({"sweep": {"axis": "mean-direct-snr-db", "values": [0.0],
+                "relay_mean_snr_db": "x"}}, [], "sweep.relay_mean_snr_db"),
+    ({"sweep": {"axis": "transmit-snr-db", "values": [float("inf")]}}, [], "sweep.values"),
+    ({"sweep": {"axis": "transmit-snr-db", "values": [4000.0]}}, [], "sweep"),
+    ({"sweep": {"axis": "mean-direct-snr-db", "values": [-4000.0]}}, [], "sweep"),
+    ({}, ["--trials", "0"], "trials"),
+    ({}, ["--seed", "-1"], "seed"),
+], ids=["gamma0-nan", "n_s-bool", "relay-db-string", "values-inf", "snr-overflow",
+        "gain-underflow", "trials-override", "seed-override"])
+def test_bad_run_input_exit_2(tmp_path, capsys, spec_overrides, argv, field):
+    spec_path = tmp_path / "spec.json"
+    write_spec(spec_path, **{"mode": "outage", "gamma0": 1.0, "strategies": ["direct-only"],
+                             "trials": 100, **spec_overrides})
+    out = tmp_path / "out.csv"
+    assert main(["outage", "--config", str(spec_path), "--out", str(out), *argv]) == 2
+    assert any(line.startswith(f"{field}:")
+               for line in capsys.readouterr().err.splitlines())
+    assert not out.exists()
 
 
 class TestOtherCommands:

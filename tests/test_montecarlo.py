@@ -1,17 +1,28 @@
 import numpy as np
 import pytest
 
-from relaysim.channel import SystemConfig
+from relaysim.channel import ChannelRealization, LinkSnrs, SystemConfig, link_snrs
 from relaysim.errors import InsufficientStatisticsError, InvalidParameterError
 from relaysim.montecarlo import (
     BerPoint,
     OutagePoint,
+    _ber_chunk,
+    _draw_channels,
     diversity_order,
     fit_diversity,
     run_ber,
     run_outage,
     wilson_interval,
 )
+from relaysim.numerics import RngStream, sample_complex_gaussian
+from relaysim.receiver import detect_bpsk, mmse_filter, mrc_filter
+from relaysim.relaying import (
+    equivalent_channel,
+    equivalent_channel_with_filter,
+    optimal_relay_filter,
+    relay_gain,
+)
+from relaysim.selection import STRATEGIES, select_relay_antenna, select_source_antenna
 
 
 class TestWilsonInterval:
@@ -173,3 +184,56 @@ class TestRunOutage:
         a = run_outage(cfg, "optimal-relay-filter", 1.0, [0.0], 10**5, seed=10, threads=1)
         b = run_outage(cfg, "optimal-relay-filter", 1.0, [0.0], 10**5, seed=10, threads=3)
         assert a[0].outage_count == b[0].outage_count
+
+
+def scalar_ber_errors(cfg, strategy, stream, n):
+    """Replay a BER chunk's draws trial by trial through the scalar API:
+    selection rule, relay, equivalent channel, receiver filter, detector."""
+    gen = stream.generator()
+    h_sd, h_sr, h_rd = _draw_channels(gen, n, cfg)
+    bits = gen.integers(0, 2, n)
+    n_r = sample_complex_gaussian(gen, n, cfg.n_r)
+    n_d1 = sample_complex_gaussian(gen, n, cfg.n_d)
+    n_d2 = sample_complex_gaussian(gen, n, cfg.n_d)
+    errors = 0
+    for t in range(n):
+        ch = ChannelRealization(h_sd=h_sd[t], h_sr=h_sr[t], h_rd=h_rd[t])
+        snrs = link_snrs(cfg, ch)
+        s = (1 - 2 * int(bits[t])) * np.sqrt(cfg.snr)
+        if strategy == "direct-only":
+            i = int(np.argmax(snrs.gamma_sd))
+            errors += detect_bpsk(ch.h_sd[:, i], ch.h_sd[:, i] * s + n_d1[t]) != bits[t]
+            continue
+        if strategy == "optimal-relay-filter":
+            # the filter's lambda_rd stands in for the relay antenna's power
+            lam = optimal_relay_filter(ch, 0, cfg.snr).lambda_rd
+            beam = LinkSnrs(snrs.gamma_sd, snrs.gamma_sr, np.array([cfg.snr * lam]))
+            i = select_source_antenna(beam, 0).source_antenna
+            rf = optimal_relay_filter(ch, i, cfg.snr)
+            eq = equivalent_channel_with_filter(cfg, ch, rf)
+            relay_tx = rf.w_relay @ (ch.h_sr[:, i] * s + n_r[t])
+        else:
+            if strategy == "fixed-antenna":
+                i, k = 0, 0
+            else:  # the MRC rule searches the whole (i, k) grid and ignores k_o
+                receiver = "mrc" if strategy == "mrc-receiver" else "mmse"
+                decision = select_source_antenna(snrs, select_relay_antenna(snrs), receiver)
+                i, k = decision.source_antenna, decision.relay_antenna
+            eq = equivalent_channel(cfg, ch, i, k)
+            alpha = relay_gain(float(np.sum(np.abs(ch.h_sr[:, i]) ** 2)), cfg.snr)
+            relay_tx = np.zeros(cfg.n_r, dtype=complex)
+            relay_tx[k] = alpha * np.vdot(ch.h_sr[:, i], ch.h_sr[:, i] * s + n_r[t])
+        y = np.concatenate([ch.h_sd[:, i] * s + n_d1[t], ch.h_rd @ relay_tx + n_d2[t]])
+        rx = mrc_filter if strategy == "mrc-receiver" else mmse_filter
+        errors += detect_bpsk(rx(eq, cfg.snr).w, y) != bits[t]
+    return errors
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2)])
+def test_ber_chunk_matches_scalar_path(strategy, dims):
+    cfg = SystemConfig(*dims, snr=10 ** (-0.5))
+    stream = RngStream(31, 5)
+    expected = scalar_ber_errors(cfg, strategy, stream, 300)
+    assert expected > 0
+    assert _ber_chunk(cfg, strategy, stream, 300) == expected
