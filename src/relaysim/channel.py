@@ -7,7 +7,6 @@ transmit power ``snr`` therefore doubles as the transmit SNR E_s.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +22,7 @@ class SystemConfig:
     n_s, n_r, n_d: antennas at source, relay, destination.
     lambda_sd/sr/rd: mean per-entry channel power gain of each link (linear).
     snr: transmit power E_s with unit noise power (linear).
+    All four lie in [1e-30, 1e30] (+-300 dB), where the engines' products stay finite.
     """
 
     n_s: int
@@ -40,8 +40,8 @@ class SystemConfig:
                 raise InvalidParameterError(f"{name} must be a positive integer, got {v!r}")
         for name in ("lambda_sd", "lambda_sr", "lambda_rd", "snr"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                raise InvalidParameterError(f"{name} must be finite and > 0, got {v!r}")
+            if not 1e-30 <= v <= 1e30:
+                raise InvalidParameterError(f"{name} must be in [1e-30, 1e30], got {v!r}")
 
     def with_snr(self, snr: float) -> "SystemConfig":
         return replace(self, snr=float(snr))
@@ -69,13 +69,19 @@ class LinkSnrs:
     gamma_rd: np.ndarray  # (N_R,)
 
 
+def draw_channels(gen: np.random.Generator, n: int, cfg: SystemConfig):
+    """Draw n independent Rayleigh blocks in the fixed order h_sd, h_sr, h_rd;
+    each is a batch (n, N_rx, N_tx) of the link matrices."""
+    h_sd = sample_complex_gaussian(gen, n, cfg.n_d, cfg.n_s, variance=cfg.lambda_sd)
+    h_sr = sample_complex_gaussian(gen, n, cfg.n_r, cfg.n_s, variance=cfg.lambda_sr)
+    h_rd = sample_complex_gaussian(gen, n, cfg.n_d, cfg.n_r, variance=cfg.lambda_rd)
+    return h_sd, h_sr, h_rd
+
+
 def draw_realization(cfg: SystemConfig, rng: RngStream) -> ChannelRealization:
-    """Draw one independent Rayleigh block for all three links."""
-    gen = rng.generator()
-    h_sd = sample_complex_gaussian(gen, cfg.n_d, cfg.n_s, variance=cfg.lambda_sd)
-    h_sr = sample_complex_gaussian(gen, cfg.n_r, cfg.n_s, variance=cfg.lambda_sr)
-    h_rd = sample_complex_gaussian(gen, cfg.n_d, cfg.n_r, variance=cfg.lambda_rd)
-    return ChannelRealization(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd)
+    """Draw one independent Rayleigh block for all three links (a batch of
+    one of :func:`draw_channels`)."""
+    return ChannelRealization(*(h[0] for h in draw_channels(rng.generator(), 1, cfg)))
 
 
 def link_snrs(cfg: SystemConfig, ch: ChannelRealization) -> LinkSnrs:

@@ -9,16 +9,20 @@ seed, wall time, and package version is written next to the CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import os
 import sys
+import tempfile
 import time
 
 from . import __version__
 from .channel import SystemConfig, config_from_mean_snrs_db
-from .errors import InvalidParameterError
+from .errors import InsufficientStatisticsError, InvalidParameterError
 from .montecarlo import (
     fit_diversity,
     run_ber,
@@ -103,6 +107,8 @@ def validate_spec(spec: dict) -> list[str]:
             diags.append("sweep.values: required list of finite numbers")
         elif any(b <= a for a, b in zip(values, values[1:])):
             diags.append("sweep.values: must be strictly increasing")
+        elif mode == "diversity" and len(values) < 2:
+            diags.append("sweep.values: diversity mode needs at least 2 points to fit")
         for key in ("lambda_sd", "lambda_sr", "lambda_rd"):
             v = sweep.get(key)
             if v is not None and (not _is_number(v) or v <= 0):
@@ -179,26 +185,34 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_results(out_path: str, rows: list[dict], manifest: dict) -> None:
-    with open(out_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["snr_db", "strategy", "trials", "errors", "value", "ci_low", "ci_high"])
-        for r in rows:
-            writer.writerow([
-                _fmt(r["snr_db"]), r["strategy"], r["trials"], r["errors"],
-                _fmt(r["value"]), _fmt(r["ci_low"]), _fmt(r["ci_high"]),
-            ])
-    with open(out_path + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _check_output(out_path: str) -> None:
+    """Raise OSError unless out_path can be written; runs before any sweep."""
+    if os.path.isdir(out_path):
+        raise IsADirectoryError("is a directory")
+    with tempfile.TemporaryFile(dir=os.path.dirname(out_path) or "."):
+        pass
 
 
-def _points_to_rows(points) -> list[dict]:
-    return [
-        {"snr_db": p.snr_db, "strategy": p.strategy, "trials": p.trials,
-         "errors": p.errors, "value": p.value, "ci_low": p.ci_low, "ci_high": p.ci_high}
-        for p in points
-    ]
+def _write_results(out_path: str, points: list, manifest: dict) -> None:
+    """Write the CSV of BerPoint/OutagePoint rows and its manifest, each to a
+    temporary file beside it that is then renamed into place, so a failed
+    write leaves no partial file."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["snr_db", "strategy", "trials", "errors", "value", "ci_low", "ci_high"])
+    writer.writerows([_fmt(p.snr_db), p.strategy, p.trials, p.errors,
+                      _fmt(p.value), _fmt(p.ci_low), _fmt(p.ci_high)] for p in points)
+    texts = {out_path: buf.getvalue(),
+             out_path + ".manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
+    for path, text in texts.items():
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", newline="") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +220,8 @@ def _points_to_rows(points) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("RELAYSIM_THREADS")
-    if env is not None and env.isdigit():
-        return max(1, int(env))
-    return 1
+    env = os.environ.get("RELAYSIM_THREADS", "")
+    return max(1, args.threads if args.threads is not None else int(env) if env.isdigit() else 1)
 
 
 def _run_experiment(args, mode: str) -> int:
@@ -232,6 +242,11 @@ def _run_experiment(args, mode: str) -> int:
     out_path = args.out or f"{mode}_results.csv"
     early = spec.get("early_stop_errors")
     points = _sweep_points(spec)
+    try:
+        _check_output(out_path)
+    except OSError as exc:
+        print(f"cannot write output: {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_UNWRITABLE
 
     t0 = time.monotonic()
     rows = []
@@ -242,28 +257,23 @@ def _run_experiment(args, mode: str) -> int:
         else:
             res = run_outage_points(points, strategy, float(spec["gamma0"]), trials,
                                     seed, threads, early)
-        rows.extend(_points_to_rows(res))
+        rows.extend(res)
         if mode == "diversity":
-            window = spec.get("fit_window")
-            fit = fit_diversity(res, tuple(window) if window else None)
-            fits[strategy] = {
-                "local_slopes": [float(s) for s in fit.local_slopes],
-                "ls_slope": fit.ls_slope,
-                "order_estimate": fit.order_estimate,
-            }
+            try:
+                fit = fit_diversity(res, spec.get("fit_window"))
+            except InsufficientStatisticsError as exc:
+                print(f"trials: cannot fit the {strategy} diversity slope ({exc}); raise "
+                      "trials, widen fit_window or spread sweep.values", file=sys.stderr)
+                return EXIT_BAD_SPEC
+            fits[strategy] = {"local_slopes": [float(s) for s in fit.local_slopes],
+                              "ls_slope": fit.ls_slope, "order_estimate": fit.order_estimate}
             print(f"{strategy}: ls_slope={fit.ls_slope:.3f} "
                   f"local={['%.3f' % s for s in fit.local_slopes]}")
     wall = time.monotonic() - t0
 
-    manifest = {
-        "spec": spec,
-        "seed": seed,
-        "trials": trials,
-        "threads": threads,
-        "wall_time_s": round(wall, 3),
-        "version": __version__,
-        "csv": os.path.basename(out_path),
-    }
+    manifest = {"spec": spec, "seed": seed, "trials": trials, "threads": threads,
+                "wall_time_s": round(wall, 3), "version": __version__,
+                "csv": os.path.basename(out_path)}
     if fits:
         manifest["diversity_fits"] = fits
     try:
@@ -277,15 +287,10 @@ def _run_experiment(args, mode: str) -> int:
 
 def _cmd_snr_check(args) -> int:
     """Closed-form vs numerical post-SNR deviation sweep."""
-    worst_mmse = 0.0
-    worst_mrc = 0.0
-    stream = 0
-    for snr in (0.01, 1.0, 100.0):
-        for n in (1, 2, 3, 4):
-            e_mmse, e_mrc = closed_form_check(n, n, n, snr, args.trials, args.seed, stream)
-            worst_mmse = max(worst_mmse, e_mmse)
-            worst_mrc = max(worst_mrc, e_mrc)
-            stream += 1
+    grid = itertools.product((0.01, 1.0, 100.0), (1, 2, 3, 4))
+    devs = [closed_form_check(n, n, n, snr, args.trials, args.seed, stream)
+            for stream, (snr, n) in enumerate(grid)]
+    worst_mmse, worst_mrc = (max(col) for col in zip(*devs))
     print(f"max_rel_dev_mmse={worst_mmse:.3e} max_rel_dev_mrc={worst_mrc:.3e} tol=1e-09")
     return EXIT_OK if max(worst_mmse, worst_mrc) <= 1e-9 else 1
 
@@ -312,6 +317,17 @@ def _cmd_validate(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _int_in(low: int, high: float = math.inf):
+    """argparse type for an integer in [low, high); argparse turns a value
+    outside it into exit 2 with a stderr line naming the flag."""
+    def int_in_range(text: str) -> int:
+        v = int(text)
+        if not low <= v < high:
+            raise argparse.ArgumentTypeError(f"must be an integer in [{low}, {high}), got {v}")
+        return v
+    return int_in_range
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="relaysim",
                                      description="MIMO relay antenna-selection simulator")
@@ -333,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_run("diversity", "outage sweep plus log-log slope fit")
 
     p = sub.add_parser("snr-check", help="closed-form vs numerical post-SNR oracle check")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--trials", type=_int_in(1), default=10000)
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=1)
 
     p = sub.add_parser("protocol", help="training/feedback budget")
-    p.add_argument("--ns", type=int, required=True)
-    p.add_argument("--nr", type=int, required=True)
-    p.add_argument("--nd", type=int, default=1)
+    p.add_argument("--ns", type=_int_in(1), required=True)
+    p.add_argument("--nr", type=_int_in(1), required=True)
+    p.add_argument("--nd", type=_int_in(1), default=1)
 
     p = sub.add_parser("validate", help="validate an experiment spec without running")
     p.add_argument("--config", required=True)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import SystemConfig
+from .channel import SystemConfig, draw_channels
 from .errors import InsufficientStatisticsError, InvalidParameterError
 from .numerics import RngStream, dominant_singular_pair_batch, sample_complex_gaussian
 from .relaying import af_constants
@@ -103,14 +103,6 @@ def diversity_order(n_s: int, n_r: int, n_d: int) -> int:
 # chunk kernels
 # ---------------------------------------------------------------------------
 
-def _draw_channels(gen, n: int, cfg: SystemConfig):
-    """Fixed draw order shared by both engines: h_sd, h_sr, h_rd."""
-    h_sd = sample_complex_gaussian(gen, n, cfg.n_d, cfg.n_s, variance=cfg.lambda_sd)
-    h_sr = sample_complex_gaussian(gen, n, cfg.n_r, cfg.n_s, variance=cfg.lambda_sr)
-    h_rd = sample_complex_gaussian(gen, n, cfg.n_d, cfg.n_r, variance=cfg.lambda_rd)
-    return h_sd, h_sr, h_rd
-
-
 def _gains(cfg: SystemConfig, h_sd, h_sr, h_rd):
     """Per-antenna link SNRs gamma_xy = snr * ||column||^2, each (n, antennas)."""
     return tuple(cfg.snr * np.sum(np.abs(h) ** 2, axis=1) for h in (h_sd, h_sr, h_rd))
@@ -152,7 +144,7 @@ def select(cfg: SystemConfig, strategy: str, g_sd, g_sr, g_rd, h_rd):
 def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
                   stream: RngStream, n: int) -> int:
     """Count the trials whose selected post-SNR falls below gamma0."""
-    h_sd, h_sr, h_rd = _draw_channels(stream.generator(), n, cfg)
+    h_sd, h_sr, h_rd = draw_channels(stream.generator(), n, cfg)
     _, _, _, gamma = select(cfg, strategy, *_gains(cfg, h_sd, h_sr, h_rd), h_rd)
     return int(np.count_nonzero(gamma < gamma0))
 
@@ -161,7 +153,7 @@ def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> i
     """Simulate n one-symbol blocks through the two-slot chain; count errors."""
     gen = stream.generator()
     es = cfg.snr
-    h_sd, h_sr, h_rd = _draw_channels(gen, n, cfg)
+    h_sd, h_sr, h_rd = draw_channels(gen, n, cfg)
     bits = gen.integers(0, 2, n)
     n_r = sample_complex_gaussian(gen, n, cfg.n_r)
     n_d1 = sample_complex_gaussian(gen, n, cfg.n_d)
@@ -201,49 +193,41 @@ def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> i
 # engines
 # ---------------------------------------------------------------------------
 
-def _run_point(kernel, trials: int, seed: int, point_index: int, threads: int,
-               early_stop_errors: int | None) -> tuple[int, int]:
-    """Run one sweep point chunk by chunk; returns (count, trials_used)."""
-    n_chunks = (trials + CHUNK - 1) // CHUNK
-    sizes = [min(CHUNK, trials - c * CHUNK) for c in range(n_chunks)]
-    streams = [RngStream(seed, point_index * _POINT_STRIDE + c) for c in range(n_chunks)]
-
-    def run(c):
-        return kernel(streams[c], sizes[c])
-
-    total = 0
-    used = 0
-    if threads <= 1:
-        results = map(run, range(n_chunks))
-    else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        results = pool.map(run, range(n_chunks))
-    try:
-        for c, count in enumerate(results):
-            total += count
-            used += sizes[c]
-            if early_stop_errors is not None and total >= early_stop_errors:
-                break
-    finally:
-        if threads > 1:
-            pool.shutdown(wait=False, cancel_futures=True)
-    return total, used
-
-
 def _sweep(points: Sequence[tuple[float, SystemConfig]], strategy: str, trials: int,
            seed: int, threads: int, early_stop_errors: int | None,
            kernel) -> list[tuple[float, int, int, float, float]]:
-    """Run kernel(cfg, stream, n) over every point; returns per point
-    (label_db, count, trials_used, ci_low, ci_high)."""
+    """Run kernel(cfg, stream, n) chunk by chunk over every point; returns per
+    point (label_db, count, trials_used, ci_low, ci_high).  One pool serves all
+    points and is joined before returning; an early stop closes the point's
+    result iterator, cancelling its chunks not yet started.  One thread runs
+    pool-free, so it never computes a chunk past an early stop."""
     if trials < 1:
         raise InvalidParameterError("trials_per_point must be >= 1")
     if strategy not in STRATEGIES:
         raise InvalidParameterError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
+    chunks = range((trials + CHUNK - 1) // CHUNK)
+    sizes = [min(CHUNK, trials - c * CHUNK) for c in chunks]
+
+    def run(cfg, p, c):
+        return kernel(cfg, RngStream(seed, p * _POINT_STRIDE + c), sizes[c])
+
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     out = []
-    for p, (db, cfg) in enumerate(points):
-        count, used = _run_point(partial(kernel, cfg), trials, seed, p, threads,
-                                 early_stop_errors)
-        out.append((float(db), count, used, *wilson_interval(count, used)))
+    try:
+        for p, (db, cfg) in enumerate(points):
+            point = partial(run, cfg, p)
+            results = pool.map(point, chunks) if pool else (point(c) for c in chunks)
+            count = used = 0
+            for size, n_events in zip(sizes, results):
+                count += n_events
+                used += size
+                if early_stop_errors is not None and count >= early_stop_errors:
+                    break
+            results.close()
+            out.append((float(db), count, used, *wilson_interval(count, used)))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return out
 
 
@@ -298,7 +282,7 @@ def run_outage(cfg: SystemConfig, strategy: str, gamma0: float,
                              early_stop_errors)
 
 
-def fit_diversity(points: Sequence, window: tuple[float, float] | None = None) -> DiversityFit:
+def fit_diversity(points: Sequence, window: Sequence[float] | None = None) -> DiversityFit:
     """Slope of log10(probability) vs log10(SNR) from a sweep.
 
     ``points`` are BerPoint/OutagePoint (or anything with .snr_db and .value).
@@ -321,7 +305,11 @@ def fit_diversity(points: Sequence, window: tuple[float, float] | None = None) -
     vals = np.array([p.value for p in sel], dtype=float)
     x = snr_db / 10.0  # log10 of linear SNR
     y = np.log10(vals)
-    local = -(np.diff(y) / np.diff(x))
-    ls = -float(np.polyfit(x, y, 1)[0])
+    xc = x - x.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):  # unresolvable spacing, checked below
+        local = -(np.diff(y) / np.diff(x))
+        ls = -float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))  # least-squares slope
+    if not math.isfinite(ls):
+        raise InsufficientStatisticsError("sweep points too close together to fit a slope")
     return DiversityFit(snr_db=snr_db, values=vals, local_slopes=local,
                         ls_slope=ls, order_estimate=int(round(ls)))

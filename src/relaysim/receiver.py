@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import SystemConfig, draw_channels
 from .errors import InvalidParameterError
-from .numerics import RngStream, hermitian_solve, sample_complex_gaussian
-from .relaying import EquivalentChannel, af_constants
+from .numerics import RngStream, hermitian_solve
+from .relaying import EquivalentChannel, stacked_channel
 
 
 @dataclass(frozen=True)
@@ -25,15 +26,21 @@ class ReceiverFilter:
     numerical_post_snr: float
 
 
+def filter_snr(w: np.ndarray, h: np.ndarray, r_n: np.ndarray, snr: float) -> np.ndarray:
+    """Batched SNR at the output of linear filters, E_s |w^H h|^2 / (w^H R_n w),
+    for w, h (T, M) and R_n (T, M, M).  Invariant to rescaling of each w."""
+    signal = snr * np.abs(np.einsum("ti,ti->t", w.conj(), h)) ** 2
+    noise = np.real(np.einsum("ti,tij,tj->t", w.conj(), r_n, w))
+    return signal / noise
+
+
 def post_snr_of_filter(w: np.ndarray, eq: EquivalentChannel, snr: float) -> float:
-    """SNR at the output of an arbitrary linear filter:
-    E_s |w^H h|^2 / (w^H R_n w).  Invariant to rescaling of w."""
+    """SNR at the output of one nonzero linear filter (a batch of one of
+    :func:`filter_snr`)."""
     w = np.asarray(w, dtype=complex)
     if not np.any(w):
         raise InvalidParameterError("filter vector must be nonzero")
-    signal = abs(np.vdot(w, eq.h)) ** 2 * snr
-    noise = np.real(np.vdot(w, eq.r_n @ w))
-    return float(signal / noise)
+    return float(filter_snr(w[None], eq.h[None], eq.r_n[None], snr)[0])
 
 
 def mmse_filter(eq: EquivalentChannel, snr: float) -> ReceiverFilter:
@@ -72,41 +79,22 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
     it never touches the closed forms.
     """
     gen = RngStream(seed, stream_index).generator()
-    h_sd = sample_complex_gaussian(gen, trials, n_d, n_s)
-    h_sr = sample_complex_gaussian(gen, trials, n_r, n_s)
-    h_rd = sample_complex_gaussian(gen, trials, n_d, n_r)
+    h_sd, h_sr, h_rd = draw_channels(gen, trials, SystemConfig(n_s, n_r, n_d, snr=snr))
     i = gen.integers(0, n_s, trials)
     k = gen.integers(0, n_r, trials)
 
     rows = np.arange(trials)
     hsd_i = h_sd[rows, :, i]                      # (T, N_D)
-    hsr_i = h_sr[rows, :, i]                      # (T, N_R)
     r_vec = h_rd[rows, :, k]                      # (T, N_D)
-    g = np.sum(np.abs(hsr_i) ** 2, axis=1)        # (T,)
-
-    a, c, _ = af_constants(g, snr)
-    h = np.concatenate([hsd_i, a[:, None] * r_vec], axis=1)          # (T, 2N_D)
-    r_n = np.broadcast_to(np.eye(2 * n_d, dtype=complex), (trials, 2 * n_d, 2 * n_d)).copy()
-    r_n[:, n_d:, n_d:] += c[:, None, None] * np.einsum("ti,tj->tij", r_vec, r_vec.conj())
-
-    def num_post_snr(w):
-        sig = snr * np.abs(np.einsum("ti,ti->t", w.conj(), h)) ** 2
-        noise = np.real(np.einsum("ti,tij,tj->t", w.conj(), r_n, w))
-        return sig / noise
+    g = np.sum(np.abs(h_sr[rows, :, i]) ** 2, axis=1)  # (T,)
+    h, r_n = stacked_channel(hsd_i, g, r_vec, snr)
 
     r_y = snr * np.einsum("ti,tj->tij", h, h.conj()) + r_n
     w_mmse = np.linalg.solve(r_y, snr * h[..., None])[..., 0]
-    num_mmse = num_post_snr(w_mmse)
-    num_mrc = num_post_snr(h)
 
     from .selection import mmse_post_snr, mrc_post_snr
 
-    g_sd = snr * np.sum(np.abs(hsd_i) ** 2, axis=1)
-    g_sr = snr * g
-    g_rd = snr * np.sum(np.abs(r_vec) ** 2, axis=1)
-    cf_mmse = mmse_post_snr(g_sd, g_sr, g_rd)
-    cf_mrc = mrc_post_snr(g_sd, g_sr, g_rd)
-
-    err_mmse = float(np.max(np.abs(num_mmse - cf_mmse) / cf_mmse))
-    err_mrc = float(np.max(np.abs(num_mrc - cf_mrc) / cf_mrc))
-    return err_mmse, err_mrc
+    gains = (snr * np.sum(np.abs(hsd_i) ** 2, axis=1), snr * g,
+             snr * np.sum(np.abs(r_vec) ** 2, axis=1))
+    return tuple(float(np.max(np.abs(filter_snr(w, h, r_n, snr) - cf) / cf))
+                 for w, cf in ((w_mmse, mmse_post_snr(*gains)), (h, mrc_post_snr(*gains))))

@@ -80,15 +80,26 @@ def relay_gain(g: float, snr: float) -> float:
     return float(af_constants(g, snr)[2])
 
 
-def _assemble(h_sd_col: np.ndarray, g: float, r_vec: np.ndarray, snr: float,
-              source_antenna: int, relay_antenna: int | None) -> EquivalentChannel:
-    """Build the stacked channel/covariance for a relayed path vector r_vec."""
-    n_d = h_sd_col.shape[0]
+def stacked_channel(h_sd_i: np.ndarray, g, r_vec: np.ndarray, snr: float):
+    """Batched :class:`EquivalentChannel` model: h (T, 2N_D), R_n (T, 2N_D, 2N_D)
+    from the direct columns h_sd_i (T, N_D), first-hop powers g (T,) and
+    relayed path vectors r_vec (T, N_D)."""
+    n_d = h_sd_i.shape[1]
     a, c, _ = af_constants(g, snr)
-    h = np.concatenate([h_sd_col, a * r_vec])
-    r_n = np.eye(2 * n_d, dtype=complex)
-    r_n[n_d:, n_d:] += c * np.outer(r_vec, r_vec.conj())
-    return EquivalentChannel(h=h, r_n=r_n, source_antenna=source_antenna,
+    h = np.concatenate([h_sd_i, a[:, None] * r_vec], axis=1)
+    r_n = np.broadcast_to(np.eye(2 * n_d, dtype=complex), (len(h), 2 * n_d, 2 * n_d)).copy()
+    r_n[:, n_d:, n_d:] += c[:, None, None] * np.einsum("ti,tj->tij", r_vec, r_vec.conj())
+    return h, r_n
+
+
+def _equivalent(cfg: SystemConfig, ch: ChannelRealization, i: int, r_vec: np.ndarray,
+                relay_antenna: int | None) -> EquivalentChannel:
+    """The batch of one of :func:`stacked_channel` for source antenna i."""
+    g = float(np.sum(np.abs(ch.h_sr[:, i]) ** 2))
+    if g == 0:
+        raise DegenerateInputError("zero source-relay channel for antenna %d" % i)
+    h, r_n = stacked_channel(ch.h_sd[None, :, i], [g], r_vec[None], cfg.snr)
+    return EquivalentChannel(h=h[0], r_n=r_n[0], source_antenna=i,
                              relay_antenna=relay_antenna)
 
 
@@ -97,10 +108,7 @@ def equivalent_channel(cfg: SystemConfig, ch: ChannelRealization,
     """Equivalent channel for source antenna i relaying through antenna k."""
     if not (0 <= i < cfg.n_s) or not (0 <= k < cfg.n_r):
         raise InvalidParameterError(f"antenna indices out of range: i={i}, k={k}")
-    g = float(np.sum(np.abs(ch.h_sr[:, i]) ** 2))
-    if g == 0:
-        raise DegenerateInputError("zero source-relay channel for antenna %d" % i)
-    return _assemble(ch.h_sd[:, i], g, ch.h_rd[:, k], cfg.snr, i, k)
+    return _equivalent(cfg, ch, i, ch.h_rd[:, k], k)
 
 
 def equivalent_channel_with_filter(cfg: SystemConfig, ch: ChannelRealization,
@@ -109,20 +117,13 @@ def equivalent_channel_with_filter(cfg: SystemConfig, ch: ChannelRealization,
 
     The relayed path vector becomes H_RD v, whose squared norm is lambda_rd.
     """
-    i = rf.source_antenna
-    g = float(np.sum(np.abs(ch.h_sr[:, i]) ** 2))
-    if g == 0:
-        raise DegenerateInputError("zero source-relay channel for antenna %d" % i)
-    return _assemble(ch.h_sd[:, i], g, ch.h_rd @ rf.v, cfg.snr, i, None)
+    return _equivalent(cfg, ch, rf.source_antenna, ch.h_rd @ rf.v, None)
 
 
 def optimal_relay_filter(ch: ChannelRealization, i_o: int, snr: float) -> RelayFilter:
     """SNR-optimal rank-one relay filter: beamform along the top right
     singular vector of H_RD after matched-filtering the first hop."""
-    g = float(np.sum(np.abs(ch.h_sr[:, i_o]) ** 2))
-    if g == 0:
-        raise DegenerateInputError("zero source-relay channel for antenna %d" % i_o)
+    alpha = relay_gain(float(np.sum(np.abs(ch.h_sr[:, i_o]) ** 2)), snr)  # raises on zero h_sr
     sigma, v = dominant_singular_pair(ch.h_rd)  # raises on zero H_RD
-    alpha = relay_gain(g, snr)
     w = alpha * np.outer(v, ch.h_sr[:, i_o].conj())
     return RelayFilter(w_relay=w, v=v, lambda_rd=sigma * sigma, source_antenna=i_o)

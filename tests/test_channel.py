@@ -5,12 +5,12 @@ from relaysim.channel import (
     ChannelRealization,
     SystemConfig,
     config_from_mean_snrs_db,
+    draw_channels,
     draw_realization,
     lambda_from_mean_snr_db,
     link_snrs,
 )
 from relaysim.errors import InvalidParameterError
-from relaysim.montecarlo import _draw_channels
 from relaysim.numerics import RngStream
 
 
@@ -25,6 +25,8 @@ class TestSystemConfig:
         dict(n_s=1, n_r=1, n_d=1, lambda_sd=0.0),
         dict(n_s=1, n_r=1, n_d=1, snr=-1.0),
         dict(n_s=1, n_r=1, n_d=1, snr=float("inf")),
+        dict(n_s=1, n_r=1, n_d=1, lambda_rd=4.8e307),  # overflows the relay beam's eigh
+        dict(n_s=1, n_r=1, n_d=1, snr=1e-31),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidParameterError):
@@ -54,18 +56,18 @@ class TestDrawRealization:
     def test_moments_unit_gains(self):
         # engine draw path, 1e6 scalar realizations
         cfg = SystemConfig(1, 1, 1)
-        h_sd, _, _ = _draw_channels(RngStream(7).generator(), 10**6, cfg)
+        h_sd, _, _ = draw_channels(RngStream(7).generator(), 10**6, cfg)
         assert 0.99 <= np.mean(np.abs(h_sd) ** 2) <= 1.01
 
     def test_moments_sr_gain(self):
         cfg = SystemConfig(1, 2, 1, lambda_sr=4.0)
-        _, h_sr, _ = _draw_channels(RngStream(8).generator(), 10**6, cfg)
+        _, h_sr, _ = draw_channels(RngStream(8).generator(), 10**6, cfg)
         col_power = np.sum(np.abs(h_sr) ** 2, axis=1)  # (trials, 1)
         assert np.mean(col_power) == pytest.approx(4.0 * 2, rel=0.01)
 
     def test_links_independent(self):
         cfg = SystemConfig(1, 1, 1)
-        h_sd, h_sr, h_rd = _draw_channels(RngStream(9).generator(), 10**6, cfg)
+        h_sd, h_sr, h_rd = draw_channels(RngStream(9).generator(), 10**6, cfg)
         for x, y in [(h_sd, h_sr), (h_sd, h_rd), (h_sr, h_rd)]:
             rho = np.mean(x.ravel() * y.ravel().conj())
             assert abs(rho) < 0.01
@@ -103,7 +105,7 @@ class TestLinkSnrs:
     def test_mean_gamma(self):
         # mean of gamma over draws ~ N_rx * lambda * snr
         cfg = SystemConfig(1, 3, 2, lambda_sr=2.0, snr=5.0)
-        _, h_sr, _ = _draw_channels(RngStream(10).generator(), 10**6, cfg)
+        _, h_sr, _ = draw_channels(RngStream(10).generator(), 10**6, cfg)
         gamma = cfg.snr * np.sum(np.abs(h_sr) ** 2, axis=1)
         assert np.mean(gamma) == pytest.approx(3 * 2.0 * 5.0, rel=0.01)
 

@@ -1,8 +1,10 @@
 import csv
 import json
+import os
 
 import pytest
 
+import relaysim.cli
 from relaysim.cli import main, validate_spec
 
 
@@ -142,27 +144,87 @@ class TestRunExperiment:
         assert 0.7 <= fit["ls_slope"] <= 1.3  # direct 1x1 has diversity order 1
 
 
-@pytest.mark.parametrize("spec_overrides,argv,field", [
-    ({"gamma0": float("nan")}, [], "gamma0"),
-    ({"system": {"n_s": True, "n_r": 2, "n_d": 2}}, [], "system.n_s"),
-    ({"sweep": {"axis": "mean-direct-snr-db", "values": [0.0],
-                "relay_mean_snr_db": "x"}}, [], "sweep.relay_mean_snr_db"),
-    ({"sweep": {"axis": "transmit-snr-db", "values": [float("inf")]}}, [], "sweep.values"),
-    ({"sweep": {"axis": "transmit-snr-db", "values": [4000.0]}}, [], "sweep"),
-    ({"sweep": {"axis": "mean-direct-snr-db", "values": [-4000.0]}}, [], "sweep"),
-    ({}, ["--trials", "0"], "trials"),
-    ({}, ["--seed", "-1"], "seed"),
+@pytest.mark.parametrize("command,spec_overrides,argv,field", [
+    ("outage", {"gamma0": float("nan")}, [], "gamma0"),
+    ("outage", {"system": {"n_s": True, "n_r": 2, "n_d": 2}}, [], "system.n_s"),
+    ("outage", {"sweep": {"axis": "mean-direct-snr-db", "values": [0.0],
+                          "relay_mean_snr_db": "x"}}, [], "sweep.relay_mean_snr_db"),
+    ("outage", {"sweep": {"axis": "transmit-snr-db", "values": [float("inf")]}}, [],
+     "sweep.values"),
+    ("outage", {"sweep": {"axis": "transmit-snr-db", "values": [4000.0]}}, [], "sweep"),
+    ("outage", {"sweep": {"axis": "mean-direct-snr-db", "values": [-4000.0]}}, [], "sweep"),
+    ("outage", {}, ["--trials", "0"], "trials"),
+    ("outage", {}, ["--seed", "-1"], "seed"),
+    ("diversity", {"sweep": {"axis": "transmit-snr-db", "values": [20.0]}}, [],
+     "sweep.values"),
+    ("diversity", {"sweep": {"axis": "transmit-snr-db", "values": [20.0, 30.0]}}, [],
+     "trials"),
 ], ids=["gamma0-nan", "n_s-bool", "relay-db-string", "values-inf", "snr-overflow",
-        "gain-underflow", "trials-override", "seed-override"])
-def test_bad_run_input_exit_2(tmp_path, capsys, spec_overrides, argv, field):
+        "gain-underflow", "trials-override", "seed-override", "diversity-one-point",
+        "diversity-zero-outage"])
+def test_bad_run_input_exit_2(tmp_path, capsys, command, spec_overrides, argv, field):
     spec_path = tmp_path / "spec.json"
-    write_spec(spec_path, **{"mode": "outage", "gamma0": 1.0, "strategies": ["direct-only"],
+    write_spec(spec_path, **{"mode": command, "gamma0": 1.0, "strategies": ["direct-only"],
                              "trials": 100, **spec_overrides})
     out = tmp_path / "out.csv"
-    assert main(["outage", "--config", str(spec_path), "--out", str(out), *argv]) == 2
+    assert main([command, "--config", str(spec_path), "--out", str(out), *argv]) == 2
     assert any(line.startswith(f"{field}:")
                for line in capsys.readouterr().err.splitlines())
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["snr-check", "--trials", "0"], "--trials"),
+    (["snr-check", "--seed", "-1"], "--seed"),
+    (["snr-check", "--seed", str(2**64)], "--seed"),
+    (["protocol", "--ns", "0", "--nr", "2"], "--ns"),
+    (["protocol", "--ns", "2", "--nr", "-1"], "--nr"),
+    (["protocol", "--ns", "2", "--nr", "2", "--nd", "0"], "--nd"),
+])
+def test_bad_flag_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert any(f"argument {flag}: must be an integer" in line
+               for line in capsys.readouterr().err.splitlines())
+
+
+class TestOutputFiles:
+    def test_unwritable_output_found_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def engine(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output location was checked")
+
+        monkeypatch.setattr(relaysim.cli, "run_ber_points", engine)
+        monkeypatch.setattr(relaysim.cli, "run_outage_points", engine)
+        spec_path = tmp_path / "spec.json"
+        for mode in ("ber", "outage"):
+            write_spec(spec_path, mode=mode, gamma0=1.0)
+            for out in (tmp_path / "no_such_dir" / "out.csv", tmp_path):
+                assert main([mode, "--config", str(spec_path), "--out", str(out)]) == 3
+                assert "cannot write output" in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path, trials=100)
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        out = tmp_path / "out.csv"
+        assert main(["ber", "--config", str(spec_path), "--out", str(out)]) == 3
+        assert "cannot write output" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_rewrite_replaces_whole_file(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path, trials=100)
+        out = tmp_path / "out.csv"
+        out.write_text("stale\n" * 1000)
+        assert main(["ber", "--config", str(spec_path), "--out", str(out)]) == 0
+        assert out.read_text().startswith("snr_db,") and "stale" not in out.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.csv", "out.csv.manifest.json", "spec.json"]
 
 
 class TestOtherCommands:

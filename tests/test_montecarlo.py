@@ -1,13 +1,17 @@
+import threading
+
 import numpy as np
 import pytest
 
-from relaysim.channel import ChannelRealization, LinkSnrs, SystemConfig, link_snrs
+import relaysim.montecarlo
+
+from relaysim.channel import ChannelRealization, LinkSnrs, SystemConfig, draw_channels, link_snrs
 from relaysim.errors import InsufficientStatisticsError, InvalidParameterError
 from relaysim.montecarlo import (
+    CHUNK,
     BerPoint,
     OutagePoint,
     _ber_chunk,
-    _draw_channels,
     diversity_order,
     fit_diversity,
     run_ber,
@@ -88,6 +92,12 @@ class TestFitDiversity:
     def test_zero_probability_named(self):
         pts = outage_points([10.0, 15.0], [1e-3, 0.0])
         with pytest.raises(InsufficientStatisticsError, match="15"):
+            fit_diversity(pts)
+
+    def test_unresolvable_spacing_rejected(self):
+        # 0 and 5e-211 dB are distinct sweep values, but no slope is fittable
+        pts = outage_points([0.0, 4.809057376031833e-211], [0.5, 0.25])
+        with pytest.raises(InsufficientStatisticsError, match="too close"):
             fit_diversity(pts)
 
     def test_window_filters(self):
@@ -186,11 +196,44 @@ class TestRunOutage:
         assert a[0].outage_count == b[0].outage_count
 
 
+class TestWorkerPool:
+    """A sweep joins its worker pool before returning, so no engine thread
+    outlives the call, also after an early stop or a failed chunk."""
+
+    def test_no_worker_outlives_a_sweep(self):
+        cfg = SystemConfig(2, 2, 2)
+        before = set(threading.enumerate())
+        stopped = run_ber(cfg, "mmse-receiver", [-6.0, -3.0], 6 * CHUNK, seed=3, threads=2,
+                          early_stop_errors=1)
+        assert set(threading.enumerate()) <= before
+        assert all(p.trials == CHUNK for p in stopped)
+        serial = run_ber(cfg, "mmse-receiver", [-6.0, -3.0], 6 * CHUNK, seed=3, threads=1,
+                         early_stop_errors=1)
+        assert stopped == serial
+        run_outage(cfg, "mmse-receiver", 1.0, [0.0, 3.0], 3 * CHUNK, seed=3, threads=2)
+        assert set(threading.enumerate()) <= before
+
+    def test_failed_chunk_joins_the_pool(self, monkeypatch):
+        real = relaysim.montecarlo._outage_chunk
+
+        def kernel(cfg, strategy, gamma0, stream, n):
+            if stream.index % 4 == 3:
+                raise RuntimeError("chunk failed")
+            return real(cfg, strategy, gamma0, stream, n)
+
+        monkeypatch.setattr(relaysim.montecarlo, "_outage_chunk", kernel)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            run_outage(SystemConfig(1, 1, 1), "direct-only", 1.0, [0.0], 64 * 1024, seed=1,
+                       threads=2)
+        assert set(threading.enumerate()) <= before
+
+
 def scalar_ber_errors(cfg, strategy, stream, n):
     """Replay a BER chunk's draws trial by trial through the scalar API:
     selection rule, relay, equivalent channel, receiver filter, detector."""
     gen = stream.generator()
-    h_sd, h_sr, h_rd = _draw_channels(gen, n, cfg)
+    h_sd, h_sr, h_rd = draw_channels(gen, n, cfg)
     bits = gen.integers(0, 2, n)
     n_r = sample_complex_gaussian(gen, n, cfg.n_r)
     n_d1 = sample_complex_gaussian(gen, n, cfg.n_d)
