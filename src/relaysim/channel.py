@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-from .numerics import RngStream, sample_complex_gaussian
+from .numerics import RngStream, sample_gaussian_blocks
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,20 @@ class LinkSnrs:
     gamma_rd: np.ndarray  # (N_R,)
 
 
+def draw_links(gen: np.random.Generator, n: int, cfg: SystemConfig):
+    """Draw n independent Rayleigh blocks in the fixed order h_sd, h_sr, h_rd,
+    each link's real block before its imaginary block.  Returns each link as
+    :class:`~relaysim.numerics.GaussianBlocks` of shape (n, N_rx, N_tx), so a
+    caller builds complex values only for the entries it reads."""
+    return (sample_gaussian_blocks(gen, n, cfg.n_d, cfg.n_s, variance=cfg.lambda_sd),
+            sample_gaussian_blocks(gen, n, cfg.n_r, cfg.n_s, variance=cfg.lambda_sr),
+            sample_gaussian_blocks(gen, n, cfg.n_d, cfg.n_r, variance=cfg.lambda_rd))
+
+
 def draw_channels(gen: np.random.Generator, n: int, cfg: SystemConfig):
-    """Draw n independent Rayleigh blocks in the fixed order h_sd, h_sr, h_rd;
-    each is a batch (n, N_rx, N_tx) of the link matrices."""
-    h_sd = sample_complex_gaussian(gen, n, cfg.n_d, cfg.n_s, variance=cfg.lambda_sd)
-    h_sr = sample_complex_gaussian(gen, n, cfg.n_r, cfg.n_s, variance=cfg.lambda_sr)
-    h_rd = sample_complex_gaussian(gen, n, cfg.n_d, cfg.n_r, variance=cfg.lambda_rd)
-    return h_sd, h_sr, h_rd
+    """The link matrices of :func:`draw_links`: a batch (n, N_rx, N_tx) each of
+    h_sd, h_sr, h_rd."""
+    return tuple(link.values() for link in draw_links(gen, n, cfg))
 
 
 def draw_realization(cfg: SystemConfig, rng: RngStream) -> ChannelRealization:

@@ -24,6 +24,7 @@ from . import __version__
 from .channel import SystemConfig, config_from_mean_snrs_db
 from .errors import InsufficientStatisticsError, InvalidParameterError
 from .montecarlo import (
+    CHUNK,
     fit_diversity,
     run_ber,
     run_ber_points,
@@ -37,6 +38,11 @@ from .selection import STRATEGIES
 EXIT_OK = 0
 EXIT_BAD_SPEC = 2
 EXIT_UNWRITABLE = 3
+
+# Largest n_d*n_s + n_r*n_s + n_d*n_r a run accepts: one chunk draws a real
+# and an imaginary float64 per antenna pair and trial, so 1024 pairs are
+# 256 MiB per chunk per worker.
+MAX_ANTENNA_PAIRS = 1024
 
 _MODES = ("ber", "outage", "diversity")
 _AXES = ("transmit-snr-db", "mean-direct-snr-db")
@@ -81,10 +87,17 @@ def validate_spec(spec: dict) -> list[str]:
     if not isinstance(system, dict):
         diags.append("system: required object with n_s, n_r, n_d")
     else:
-        for key in ("n_s", "n_r", "n_d"):
-            v = system.get(key)
-            if not _is_int(v) or v < 1:
-                diags.append(f"system.{key}: must be an integer >= 1, got {v!r}")
+        bad = [key for key in ("n_s", "n_r", "n_d")
+               if not _is_int(system.get(key)) or system[key] < 1]
+        for key in bad:
+            diags.append(f"system.{key}: must be an integer >= 1, got {system.get(key)!r}")
+        if not bad:
+            n_s, n_r, n_d = system["n_s"], system["n_r"], system["n_d"]
+            pairs = n_d * n_s + n_r * n_s + n_d * n_r
+            if pairs > MAX_ANTENNA_PAIRS:
+                diags.append(f"system: n_d*n_s + n_r*n_s + n_d*n_r = {pairs} antenna pairs, "
+                             f"over the limit of {MAX_ANTENNA_PAIRS} (one {CHUNK}-trial chunk "
+                             f"would draw {pairs * 2 * CHUNK * 8 / 2**20:.0f} MiB of float64)")
 
     strategies = spec.get("strategies")
     if not isinstance(strategies, list) or not strategies:
@@ -339,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment spec (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override spec seed")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=_int_in(1), default=None,
                        help="worker threads (no effect on results)")
         p.add_argument("--trials", type=int, default=None, help="override trials per point")
         return p

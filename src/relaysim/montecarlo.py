@@ -14,6 +14,7 @@ summed in chunk order, so results are bit-identical for any number of threads.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import SystemConfig, draw_channels
+from .channel import SystemConfig, draw_links
 from .errors import InsufficientStatisticsError, InvalidParameterError
 from .numerics import RngStream, dominant_singular_pair_batch, sample_complex_gaussian
 from .relaying import af_constants
@@ -103,9 +104,13 @@ def diversity_order(n_s: int, n_r: int, n_d: int) -> int:
 # chunk kernels
 # ---------------------------------------------------------------------------
 
-def _gains(cfg: SystemConfig, h_sd, h_sr, h_rd):
-    """Per-antenna link SNRs gamma_xy = snr * ||column||^2, each (n, antennas)."""
-    return tuple(cfg.snr * np.sum(np.abs(h) ** 2, axis=1) for h in (h_sd, h_sr, h_rd))
+def _gains(cfg: SystemConfig, *links):
+    """Per-antenna link SNRs gamma_xy = snr * ||column||^2, each (n, antennas),
+    taken from the drawn blocks as snr * scale^2 * sum(re^2 + im^2) over the
+    receive axis, without building the complex matrices."""
+    return tuple(cfg.snr * link.scale ** 2 * (np.einsum("nij,nij->nj", link.re, link.re)
+                                              + np.einsum("nij,nij->nj", link.im, link.im))
+                 for link in links)
 
 
 def select(cfg: SystemConfig, strategy: str, g_sd, g_sr, g_rd, h_rd):
@@ -141,11 +146,18 @@ def select(cfg: SystemConfig, strategy: str, g_sd, g_sr, g_rd, h_rd):
     return i, k, v, per_i[rows, i]
 
 
+def _full_h_rd(strategy: str, rd):
+    """The complex H_RD batch of the drawn relay-destination link where the
+    strategy reads all of it (the relay beam of ``optimal-relay-filter``),
+    else None."""
+    return rd.values() if strategy == "optimal-relay-filter" else None
+
+
 def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
                   stream: RngStream, n: int) -> int:
     """Count the trials whose selected post-SNR falls below gamma0."""
-    h_sd, h_sr, h_rd = draw_channels(stream.generator(), n, cfg)
-    _, _, _, gamma = select(cfg, strategy, *_gains(cfg, h_sd, h_sr, h_rd), h_rd)
+    sd, sr, rd = draw_links(stream.generator(), n, cfg)
+    _, _, _, gamma = select(cfg, strategy, *_gains(cfg, sd, sr, rd), _full_h_rd(strategy, rd))
     return int(np.count_nonzero(gamma < gamma0))
 
 
@@ -153,24 +165,25 @@ def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> i
     """Simulate n one-symbol blocks through the two-slot chain; count errors."""
     gen = stream.generator()
     es = cfg.snr
-    h_sd, h_sr, h_rd = draw_channels(gen, n, cfg)
+    sd, sr, rd = draw_links(gen, n, cfg)
     bits = gen.integers(0, 2, n)
     n_r = sample_complex_gaussian(gen, n, cfg.n_r)
     n_d1 = sample_complex_gaussian(gen, n, cfg.n_d)
     n_d2 = sample_complex_gaussian(gen, n, cfg.n_d)
-    i, k, v, _ = select(cfg, strategy, *_gains(cfg, h_sd, h_sr, h_rd), h_rd)
+    h_rd = _full_h_rd(strategy, rd)
+    i, k, v, _ = select(cfg, strategy, *_gains(cfg, sd, sr, rd), h_rd)
 
     # first slot: the destination hears the selected source antenna directly
     rows = np.arange(n)
     s = (1.0 - 2.0 * bits) * math.sqrt(es)
-    h_sd_i = h_sd[rows, :, i]
+    h_sd_i = sd.values(np.s_[rows, :, i])
     y1 = h_sd_i * s[:, None] + n_d1
     stat = np.einsum("ti,ti->t", h_sd_i.conj(), y1)
 
     if strategy != "direct-only":
         # relay: matched-filter combine, rescale, retransmit along r_vec
-        h_sr_i = h_sr[rows, :, i]
-        r_vec = h_rd[rows, :, k] if v is None else np.einsum("tdr,tr->td", h_rd, v)
+        h_sr_i = sr.values(np.s_[rows, :, i])
+        r_vec = rd.values(np.s_[rows, :, k]) if v is None else np.einsum("tdr,tr->td", h_rd, v)
         g = np.sum(np.abs(h_sr_i) ** 2, axis=1)
         g = np.maximum(g, 1e-300)  # measure-zero guard
         a, c, alpha = af_constants(g, es)
@@ -199,7 +212,8 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategy: str, trials: 
     """Run kernel(cfg, stream, n) chunk by chunk over every point; returns per
     point (label_db, count, trials_used, ci_low, ci_high).  One pool serves all
     points and is joined before returning; an early stop closes the point's
-    result iterator, cancelling its chunks not yet started.  One thread runs
+    result iterator, cancelling its chunks not yet started.  The pool has
+    min(threads, chunks per point, CPUs) workers, and one worker runs
     pool-free, so it never computes a chunk past an early stop."""
     if trials < 1:
         raise InvalidParameterError("trials_per_point must be >= 1")
@@ -211,7 +225,8 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategy: str, trials: 
     def run(cfg, p, c):
         return kernel(cfg, RngStream(seed, p * _POINT_STRIDE + c), sizes[c])
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     out = []
     try:
         for p, (db, cfg) in enumerate(points):

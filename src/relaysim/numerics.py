@@ -9,6 +9,7 @@ only, independent of execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -42,8 +43,24 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_complex_gaussian(rng, *shape: int, variance: float = 1.0) -> np.ndarray:
-    """Draw an array of the given shape of i.i.d. CN(0, variance) entries.
+class GaussianBlocks(NamedTuple):
+    """A draw of i.i.d. CN(0, variance) entries kept as its real and imaginary
+    standard-normal blocks: entry e is ``scale * (re[e] + 1j * im[e])`` with
+    ``scale = sqrt(variance / 2)``."""
+
+    scale: float
+    re: np.ndarray
+    im: np.ndarray
+
+    def values(self, index=...) -> np.ndarray:
+        """The complex entries at ``index`` (all of them by default), each
+        computed by the same expression whatever the index."""
+        return self.scale * (self.re[index] + 1j * self.im[index])
+
+
+def sample_gaussian_blocks(rng, *shape: int, variance: float = 1.0) -> GaussianBlocks:
+    """Draw an array of the given shape of i.i.d. CN(0, variance) entries as
+    :class:`GaussianBlocks`.
 
     Real and imaginary parts are independent N(0, variance/2); the whole real
     block is drawn before the whole imaginary block.  ``rng`` may be an
@@ -56,8 +73,14 @@ def sample_complex_gaussian(rng, *shape: int, variance: float = 1.0) -> np.ndarr
     if not shape or min(shape) < 1:
         raise InvalidParameterError(f"dimensions must be positive, got {shape}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    scale = np.sqrt(variance / 2.0)
-    return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    re = gen.standard_normal(shape)
+    return GaussianBlocks(np.sqrt(variance / 2.0), re, gen.standard_normal(shape))
+
+
+def sample_complex_gaussian(rng, *shape: int, variance: float = 1.0) -> np.ndarray:
+    """The complex values of :func:`sample_gaussian_blocks` (same arguments,
+    same stream use)."""
+    return sample_gaussian_blocks(rng, *shape, variance=variance).values()
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

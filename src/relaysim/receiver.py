@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemConfig, draw_channels
+from .channel import SystemConfig, draw_links
 from .errors import InvalidParameterError
 from .numerics import RngStream, hermitian_solve
 from .relaying import EquivalentChannel, stacked_channel
@@ -79,14 +79,14 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
     it never touches the closed forms.
     """
     gen = RngStream(seed, stream_index).generator()
-    h_sd, h_sr, h_rd = draw_channels(gen, trials, SystemConfig(n_s, n_r, n_d, snr=snr))
+    sd, sr, rd = draw_links(gen, trials, SystemConfig(n_s, n_r, n_d, snr=snr))
     i = gen.integers(0, n_s, trials)
     k = gen.integers(0, n_r, trials)
 
     rows = np.arange(trials)
-    hsd_i = h_sd[rows, :, i]                      # (T, N_D)
-    r_vec = h_rd[rows, :, k]                      # (T, N_D)
-    g = np.sum(np.abs(h_sr[rows, :, i]) ** 2, axis=1)  # (T,)
+    hsd_i = sd.values(np.s_[rows, :, i])          # (T, N_D)
+    r_vec = rd.values(np.s_[rows, :, k])          # (T, N_D)
+    g = np.sum(np.abs(sr.values(np.s_[rows, :, i])) ** 2, axis=1)  # (T,)
     h, r_n = stacked_channel(hsd_i, g, r_vec, snr)
 
     r_y = snr * np.einsum("ti,tj->tij", h, h.conj()) + r_n

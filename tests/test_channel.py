@@ -6,6 +6,7 @@ from relaysim.channel import (
     SystemConfig,
     config_from_mean_snrs_db,
     draw_channels,
+    draw_links,
     draw_realization,
     lambda_from_mean_snr_db,
     link_snrs,
@@ -71,6 +72,45 @@ class TestDrawRealization:
         for x, y in [(h_sd, h_sr), (h_sd, h_rd), (h_sr, h_rd)]:
             rho = np.mean(x.ravel() * y.ravel().conj())
             assert abs(rho) < 0.01
+
+
+class TestDrawLinks:
+    """The split draw pins the stream: Philox standard normals for h_sd, h_sr,
+    h_rd in that order, each link's real block before its imaginary block."""
+
+    cfg = SystemConfig(2, 3, 4, lambda_sd=0.5, lambda_sr=2.0, lambda_rd=3.0)
+    shapes = ((4, 2), (3, 2), (4, 3))
+    lambdas = (0.5, 2.0, 3.0)
+
+    def test_stream_layout(self):
+        gen = RngStream(5, 1).generator()
+        links = draw_links(gen, 7, self.cfg)
+        ref = RngStream(5, 1).generator()
+        for link, shape, lam in zip(links, self.shapes, self.lambdas):
+            assert np.array_equal(link.re, ref.standard_normal((7, *shape)))
+            assert np.array_equal(link.im, ref.standard_normal((7, *shape)))
+            assert link.scale == np.sqrt(lam / 2.0)
+        assert gen.standard_normal() == ref.standard_normal()
+
+    def test_draw_channels_is_scaled_blocks(self):
+        links = draw_links(RngStream(5, 1).generator(), 7, self.cfg)
+        mats = draw_channels(RngStream(5, 1).generator(), 7, self.cfg)
+        for link, h in zip(links, mats):
+            built = link.scale * (link.re + 1j * link.im)
+            assert np.array_equal(h.view(np.float64), built.view(np.float64))
+
+    def test_gathered_columns_match_the_matrix(self):
+        links = draw_links(RngStream(6).generator(), 50, self.cfg)
+        rows = np.arange(50)
+        cols = RngStream(6, 1).generator().integers(0, 2, 50)
+        for link in links:
+            full = link.values()[rows, :, cols]
+            gathered = link.values(np.s_[rows, :, cols])
+            assert np.array_equal(full.view(np.float64), gathered.view(np.float64))
+
+    def test_rejects_empty_batch(self):
+        with pytest.raises(InvalidParameterError):
+            draw_links(RngStream(1).generator(), 0, self.cfg)
 
 
 class TestLinkSnrs:

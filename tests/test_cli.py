@@ -41,6 +41,14 @@ class TestValidateSpec:
         diags = validate_spec({"sweep": {"axis": "transmit-snr-db", "values": [5.0, 0.0]}})
         assert any("strictly increasing" in d for d in diags)
 
+    def test_system_size_limit(self):
+        # n_d*n_s + n_r*n_s + n_d*n_r antenna pairs: 1024 is the largest accepted
+        assert relaysim.cli.MAX_ANTENNA_PAIRS == 1024
+        spec = {"system": {"n_s": 2, "n_r": 2, "n_d": 255}}
+        assert not any(d.startswith("system") for d in validate_spec(spec))
+        spec = {"system": {"n_s": 2, "n_r": 2, "n_d": 256}}
+        assert any(d.startswith("system: ") and "1028" in d for d in validate_spec(spec))
+
     def test_missing_gamma0_for_outage(self):
         diags = validate_spec({"mode": "outage"})
         assert any(d.startswith("gamma0:") for d in diags)
@@ -159,9 +167,11 @@ class TestRunExperiment:
      "sweep.values"),
     ("diversity", {"sweep": {"axis": "transmit-snr-db", "values": [20.0, 30.0]}}, [],
      "trials"),
+    # one trial, so a run that got past validate would draw only ~100 MB
+    ("outage", {"system": {"n_s": 1000000, "n_r": 2, "n_d": 2}, "trials": 1}, [], "system"),
 ], ids=["gamma0-nan", "n_s-bool", "relay-db-string", "values-inf", "snr-overflow",
         "gain-underflow", "trials-override", "seed-override", "diversity-one-point",
-        "diversity-zero-outage"])
+        "diversity-zero-outage", "system-too-large"])
 def test_bad_run_input_exit_2(tmp_path, capsys, command, spec_overrides, argv, field):
     spec_path = tmp_path / "spec.json"
     write_spec(spec_path, **{"mode": command, "gamma0": 1.0, "strategies": ["direct-only"],
@@ -180,6 +190,8 @@ def test_bad_run_input_exit_2(tmp_path, capsys, command, spec_overrides, argv, f
     (["protocol", "--ns", "0", "--nr", "2"], "--ns"),
     (["protocol", "--ns", "2", "--nr", "-1"], "--nr"),
     (["protocol", "--ns", "2", "--nr", "2", "--nd", "0"], "--nd"),
+    (["outage", "--config", "spec.json", "--threads", "0"], "--threads"),
+    (["ber", "--config", "spec.json", "--threads", "-3"], "--threads"),
 ])
 def test_bad_flag_exit_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

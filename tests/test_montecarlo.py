@@ -1,17 +1,27 @@
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
 import relaysim.montecarlo
 
-from relaysim.channel import ChannelRealization, LinkSnrs, SystemConfig, draw_channels, link_snrs
+from relaysim.channel import (
+    ChannelRealization,
+    LinkSnrs,
+    SystemConfig,
+    draw_channels,
+    draw_links,
+    link_snrs,
+)
 from relaysim.errors import InsufficientStatisticsError, InvalidParameterError
 from relaysim.montecarlo import (
     CHUNK,
     BerPoint,
     OutagePoint,
     _ber_chunk,
+    _gains,
     diversity_order,
     fit_diversity,
     run_ber,
@@ -227,6 +237,67 @@ class TestWorkerPool:
             run_outage(SystemConfig(1, 1, 1), "direct-only", 1.0, [0.0], 64 * 1024, seed=1,
                        threads=2)
         assert set(threading.enumerate()) <= before
+
+    def test_pool_no_larger_than_the_work(self, monkeypatch):
+        # --threads is a cap: the pool has at most min(threads, chunks, CPUs)
+        # workers, so a huge thread count starts no more threads than that
+        real = relaysim.montecarlo._outage_chunk
+        before = set(threading.enumerate())
+        alive = []
+
+        def kernel(cfg, strategy, gamma0, stream, n):
+            alive.append(len(set(threading.enumerate()) - before))
+            time.sleep(0.05)  # keep the chunks overlapping
+            return real(cfg, strategy, gamma0, stream, n)
+
+        monkeypatch.setattr(relaysim.montecarlo, "_outage_chunk", kernel)
+        cpus = os.cpu_count() or 1
+        cfg = SystemConfig(1, 1, 1)
+        for chunks in (2, cpus + 1):
+            alive.clear()
+            wide = run_outage(cfg, "direct-only", 1.0, [0.0], chunks * CHUNK, seed=1,
+                              threads=10**6)
+            assert len(alive) == chunks and max(alive) <= min(chunks, cpus)
+            assert wide == run_outage(cfg, "direct-only", 1.0, [0.0], chunks * CHUNK, seed=1)
+        assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (3, 3, 3)])
+def test_gains_match_link_snrs(dims):
+    cfg = SystemConfig(*dims, lambda_sd=0.7, lambda_sr=1.9, lambda_rd=0.2, snr=3.0)
+    gains = _gains(cfg, *draw_links(RngStream(9, 4).generator(), 200, cfg))
+    mats = draw_channels(RngStream(9, 4).generator(), 200, cfg)
+    for t in range(200):
+        snrs = link_snrs(cfg, ChannelRealization(*(h[t] for h in mats)))
+        for g, ref in zip(gains, (snrs.gamma_sd, snrs.gamma_sr, snrs.gamma_rd)):
+            np.testing.assert_allclose(g[t], ref, rtol=1e-13, atol=0)
+
+
+# Fixed-seed counts of stream format 0.2.0 (seed 2026, 2 * CHUNK + 500 trials per
+# point, so three chunks with a short last one).  Any change to the random
+# stream or to the rounding that decides a selection or a detection shows here.
+GOLDEN_COUNTS = {
+    # (dims, strategy): (outage counts at -6 and -3 dB, bit errors at -3 and 0 dB)
+    ((2, 2, 2), "mmse-receiver"): ([24099, 4728], [1481, 329]),
+    ((2, 2, 2), "mrc-receiver"): ([24758, 5694], [1580, 401]),
+    ((2, 2, 2), "optimal-relay-filter"): ([23348, 3945], [1408, 286]),
+    ((2, 2, 2), "direct-only"): ([27327, 11557], [2322, 817]),
+    ((2, 2, 2), "fixed-antenna"): ([28733, 13900], [2630, 920]),
+    ((3, 3, 3), "mmse-receiver"): ([5733, 7], [379, 36]),
+    ((3, 3, 3), "mrc-receiver"): ([7124, 23], [444, 46]),
+    ((3, 3, 3), "optimal-relay-filter"): ([4053, 3], [339, 29]),
+    ((3, 3, 3), "direct-only"): ([14516, 1096], [847, 168]),
+    ((3, 3, 3), "fixed-antenna"): ([20333, 3670], [1248, 252]),
+}
+
+
+@pytest.mark.parametrize("dims,strategy", sorted(GOLDEN_COUNTS))
+def test_fixed_seed_counts(dims, strategy):
+    cfg = SystemConfig(*dims)
+    outage = run_outage(cfg, strategy, 1.0, [-6.0, -3.0], 2 * CHUNK + 500, seed=2026)
+    ber = run_ber(cfg, strategy, [-3.0, 0.0], 2 * CHUNK + 500, seed=2026)
+    counts = ([p.outage_count for p in outage], [p.bit_errors for p in ber])
+    assert counts == GOLDEN_COUNTS[dims, strategy]
 
 
 def scalar_ber_errors(cfg, strategy, stream, n):
