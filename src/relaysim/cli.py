@@ -3,7 +3,8 @@
 Subcommands: ber, outage, diversity, snr-check, protocol, validate.
 The CSV schema is fixed: snr_db,strategy,trials,errors,value,ci_low,ci_high
 (value is BER or outage probability).  A JSON manifest echoing the spec,
-seed, wall time, and package version is written next to the CSV.
+seed, requested threads, sweep workers, wall time, and package version is
+written next to the CSV.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .montecarlo import (
     run_ber_points,
     run_outage,
     run_outage_points,
+    sweep_workers,
 )
 from .protocol import feedback_budget
 from .receiver import closed_form_check
@@ -232,9 +234,21 @@ def _write_results(out_path: str, points: list, manifest: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _resolve_threads(args) -> int:
+def _resolve_threads(args, diags: list[str]) -> int:
+    """--threads, else a non-empty RELAYSIM_THREADS, else 1; appends a
+    diagnostic when RELAYSIM_THREADS is used and is not an integer >= 1."""
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get("RELAYSIM_THREADS", "")
-    return max(1, args.threads if args.threads is not None else int(env) if env.isdigit() else 1)
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        diags.append(f"RELAYSIM_THREADS: must be an integer >= 1, got {env!r}")
+    return threads
 
 
 def _run_experiment(args, mode: str) -> int:
@@ -244,6 +258,7 @@ def _run_experiment(args, mode: str) -> int:
         diags = validate_spec({**spec, **overrides})
     if spec is not None and spec.get("mode") not in (None, mode):
         diags.append(f"mode: spec says {spec.get('mode')!r} but subcommand is {mode!r}")
+    threads = _resolve_threads(args, diags)
     if diags:
         for d in diags:
             print(d, file=sys.stderr)
@@ -251,7 +266,6 @@ def _run_experiment(args, mode: str) -> int:
 
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
     trials = args.trials if args.trials is not None else spec["trials"]
-    threads = _resolve_threads(args)
     out_path = args.out or f"{mode}_results.csv"
     early = spec.get("early_stop_errors")
     points = _sweep_points(spec)
@@ -285,6 +299,7 @@ def _run_experiment(args, mode: str) -> int:
     wall = time.monotonic() - t0
 
     manifest = {"spec": spec, "seed": seed, "trials": trials, "threads": threads,
+                "workers": sweep_workers(threads, len(points), trials),
                 "wall_time_s": round(wall, 3), "version": __version__,
                 "csv": os.path.basename(out_path)}
     if fits:

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -206,43 +205,94 @@ def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> i
 # engines
 # ---------------------------------------------------------------------------
 
+def sweep_workers(threads: int, n_points: int, trials: int) -> int:
+    """Worker count of a sweep: min(threads, chunks in the whole sweep, CPUs).
+    One worker runs the chunks inline, with no pool."""
+    return min(threads, n_points * -(-trials // CHUNK), os.cpu_count() or 1)
+
+
 def _sweep(points: Sequence[tuple[float, SystemConfig]], strategy: str, trials: int,
            seed: int, threads: int, early_stop_errors: int | None,
            kernel) -> list[tuple[float, int, int, float, float]]:
     """Run kernel(cfg, stream, n) chunk by chunk over every point; returns per
-    point (label_db, count, trials_used, ci_low, ci_high).  One pool serves all
-    points and is joined before returning; an early stop closes the point's
-    result iterator, cancelling its chunks not yet started.  The pool has
-    min(threads, chunks per point, CPUs) workers, and one worker runs
-    pool-free, so it never computes a chunk past an early stop."""
+    point (label_db, count, trials_used, ci_low, ci_high).
+
+    At most :func:`sweep_workers` chunks are in flight, on one pool that is
+    joined before returning.  A free worker starts the lowest (point, chunk)
+    that is certainly needed: its point's count stays below
+    ``early_stop_errors`` even if every trial of its running chunks is an
+    event, so no result in flight can stop the point before that chunk.
+    Only when no chunk is certainly needed does it start the lowest chunk
+    not yet started.  Each point folds its counts in chunk order and stops
+    at the first chunk where the count reaches ``early_stop_errors``; later
+    results for it are discarded.  One worker therefore runs exactly the
+    chunks used, in point-major order.
+    """
     if trials < 1:
         raise InvalidParameterError("trials_per_point must be >= 1")
     if strategy not in STRATEGIES:
         raise InvalidParameterError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
-    chunks = range((trials + CHUNK - 1) // CHUNK)
-    sizes = [min(CHUNK, trials - c * CHUNK) for c in chunks]
+    n_chunks = (trials + CHUNK - 1) // CHUNK
+    sizes = [min(CHUNK, trials - c * CHUNK) for c in range(n_chunks)]
+    limit = math.inf if early_stop_errors is None else early_stop_errors
+    started = [0] * len(points)     # chunks started, in chunk order
+    folded = [0] * len(points)      # chunks folded into count, in chunk order
+    count = [0] * len(points)
+    bound = [0] * len(points)       # count once every started chunk is in, at most
+    arrived = [{} for _ in points]  # chunk -> events, arrived but not yet folded
 
-    def run(cfg, p, c):
-        return kernel(cfg, RngStream(seed, p * _POINT_STRIDE + c), sizes[c])
+    def live(p) -> bool:
+        """Point p has neither stopped early nor folded all its chunks."""
+        return count[p] < limit and folded[p] < n_chunks
 
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    def next_chunk() -> tuple[int, int] | None:
+        open_ = [p for p in range(len(points)) if live(p) and started[p] < n_chunks]
+        if not open_:
+            return None
+        p = next((p for p in open_ if bound[p] < limit), open_[0])
+        c = started[p]
+        started[p] += 1
+        bound[p] += sizes[c]
+        return p, c
+
+    def run(p, c):
+        return kernel(points[p][1], RngStream(seed, p * _POINT_STRIDE + c), sizes[c])
+
+    workers = sweep_workers(threads, len(points), trials)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    out = []
+
+    def submit(p, c) -> Future:
+        if pool is not None:
+            return pool.submit(run, p, c)
+        future = Future()
+        future.set_result(run(p, c))
+        return future
+
+    in_flight: dict[Future, tuple[int, int]] = {}
     try:
-        for p, (db, cfg) in enumerate(points):
-            point = partial(run, cfg, p)
-            results = pool.map(point, chunks) if pool else (point(c) for c in chunks)
-            count = used = 0
-            for size, n_events in zip(sizes, results):
-                count += n_events
-                used += size
-                if early_stop_errors is not None and count >= early_stop_errors:
-                    break
-            results.close()
-            out.append((float(db), count, used, *wilson_interval(count, used)))
+        while True:
+            while len(in_flight) < workers and (pc := next_chunk()) is not None:
+                in_flight[submit(*pc)] = pc
+            if not in_flight:
+                break
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                p, c = in_flight.pop(future)
+                events = future.result()
+                if not live(p):
+                    continue
+                bound[p] += events - sizes[c]
+                arrived[p][c] = events
+                while live(p) and folded[p] in arrived[p]:
+                    count[p] += arrived[p].pop(folded[p])
+                    folded[p] += 1
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    out = []
+    for p, (db, _) in enumerate(points):
+        used = sum(sizes[:folded[p]])
+        out.append((float(db), count[p], used, *wilson_interval(count[p], used)))
     return out
 
 

@@ -201,6 +201,18 @@ def test_bad_flag_exit_2(capsys, argv, flag):
                for line in capsys.readouterr().err.splitlines())
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_bad_env_threads_exit_2(tmp_path, monkeypatch, capsys, value):
+    spec_path = tmp_path / "spec.json"
+    write_spec(spec_path, trials=100)
+    monkeypatch.setenv("RELAYSIM_THREADS", value)
+    out = tmp_path / "out.csv"
+    assert main(["ber", "--config", str(spec_path), "--out", str(out)]) == 2
+    assert any(line.startswith("RELAYSIM_THREADS:")
+               for line in capsys.readouterr().err.splitlines())
+    assert not out.exists()
+
+
 class TestOutputFiles:
     def test_unwritable_output_found_before_the_sweep(self, tmp_path, monkeypatch, capsys):
         def engine(*args, **kwargs):
@@ -257,3 +269,14 @@ class TestOtherCommands:
         assert main(["ber", "--config", str(spec_path), "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
         assert manifest["threads"] == 2
+
+    def test_manifest_records_the_pool_size(self, tmp_path):
+        # --threads is a cap; the manifest also records the workers the sweep used
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path, mode="outage", gamma0=1.0, strategies=["direct-only"],
+                   sweep={"axis": "transmit-snr-db", "values": [0.0]}, trials=100)
+        out = tmp_path / "out.csv"
+        assert main(["outage", "--config", str(spec_path), "--out", str(out),
+                     "--threads", "1000000"]) == 0
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert (manifest["threads"], manifest["workers"]) == (1000000, 1)

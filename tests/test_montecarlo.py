@@ -261,6 +261,68 @@ class TestWorkerPool:
             assert wide == run_outage(cfg, "direct-only", 1.0, [0.0], chunks * CHUNK, seed=1)
         assert set(threading.enumerate()) <= before
 
+    def test_no_chunk_past_an_early_stop_while_needed_work_waits(self, monkeypatch):
+        # every point stops at its first chunk; a free worker starts another
+        # point's first chunk rather than a chunk that may follow a stop, so
+        # at most points + workers - 1 chunks run
+        real = relaysim.montecarlo._ber_chunk
+        calls = []
+
+        def kernel(cfg, strategy, stream, n):
+            calls.append(stream.index)
+            time.sleep(0.05)  # keep the chunks overlapping
+            return real(cfg, strategy, stream, n)
+
+        cfg = SystemConfig(1, 1, 1)
+        snrs = [-6.0, -5.0, -4.0, -3.0, -2.0, -1.0]
+        serial = run_ber(cfg, "direct-only", snrs, 4 * CHUNK, seed=8, early_stop_errors=1)
+        assert all(p.trials == CHUNK for p in serial)
+        monkeypatch.setattr(relaysim.montecarlo, "_ber_chunk", kernel)
+        wide = run_ber(cfg, "direct-only", snrs, 4 * CHUNK, seed=8, threads=2,
+                       early_stop_errors=1)
+        assert wide == serial
+        assert len(calls) <= len(snrs) + 2 - 1
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+    def test_single_chunk_points_run_in_parallel(self, monkeypatch):
+        # the pool is sized by the chunks of the whole sweep, not of one point
+        real = relaysim.montecarlo._outage_chunk
+        before = set(threading.enumerate())
+        alive = []
+
+        def kernel(cfg, strategy, gamma0, stream, n):
+            alive.append(len(set(threading.enumerate()) - before))
+            time.sleep(0.05)
+            return real(cfg, strategy, gamma0, stream, n)
+
+        monkeypatch.setattr(relaysim.montecarlo, "_outage_chunk", kernel)
+        run_outage(SystemConfig(1, 1, 1), "direct-only", 1.0, [0.0, 1.0, 2.0, 3.0], CHUNK,
+                   seed=1, threads=2)
+        assert max(alive) == 2
+        assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("engine", ["ber", "outage"])
+def test_early_stop_sweep_equal_across_threads(engine):
+    # points stop at different chunks, the last chunk is short, and the
+    # 8 dB point never stops
+    cfg = SystemConfig(2, 2, 2)
+    snrs = [-6.0, -3.0, 0.0, 8.0]
+    trials = 3 * CHUNK + 77
+
+    def sweep(threads):
+        if engine == "ber":
+            return run_ber(cfg, "mmse-receiver", snrs, trials, seed=5, threads=threads,
+                           early_stop_errors=2000)
+        return run_outage(cfg, "mrc-receiver", 1.0, snrs, trials, seed=5, threads=threads,
+                          early_stop_errors=300)
+
+    serial = sweep(1)
+    used = [p.trials for p in serial]
+    assert len(set(used)) >= 2 and used[-1] == trials and serial[-1].errors < 300
+    for threads in (2, 3):
+        assert sweep(threads) == serial
+
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (3, 3, 3)])
 def test_gains_match_link_snrs(dims):
