@@ -45,6 +45,10 @@ EXIT_UNWRITABLE = 3
 # and an imaginary float64 per antenna pair and trial, so 1024 pairs are
 # 256 MiB per chunk per worker.
 MAX_ANTENNA_PAIRS = 1024
+# Largest `snr-check --trials` under the same budget: the closed-form check
+# peaks at about 3.4 kB per trial at n = 4 (its largest system), so 2^16
+# trials are about 226 MB.
+MAX_SNR_CHECK_TRIALS = 1 << 16
 
 _MODES = ("ber", "outage", "diversity")
 _AXES = ("transmit-snr-db", "mean-direct-snr-db")
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_run("diversity", "outage sweep plus log-log slope fit")
 
     p = sub.add_parser("snr-check", help="closed-form vs numerical post-SNR oracle check")
-    p.add_argument("--trials", type=_int_in(1), default=10000)
+    p.add_argument("--trials", type=_int_in(1, MAX_SNR_CHECK_TRIALS + 1), default=10000)
     p.add_argument("--seed", type=_int_in(0, 2**64), default=1)
 
     p = sub.add_parser("protocol", help="training/feedback budget")

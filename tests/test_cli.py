@@ -5,7 +5,7 @@ import os
 import pytest
 
 import relaysim.cli
-from relaysim.cli import main, validate_spec
+from relaysim.cli import MAX_SNR_CHECK_TRIALS, build_parser, main, validate_spec
 
 
 def write_spec(path, **overrides):
@@ -192,6 +192,7 @@ def test_bad_run_input_exit_2(tmp_path, capsys, command, spec_overrides, argv, f
     (["protocol", "--ns", "2", "--nr", "2", "--nd", "0"], "--nd"),
     (["outage", "--config", "spec.json", "--threads", "0"], "--threads"),
     (["ber", "--config", "spec.json", "--threads", "-3"], "--threads"),
+    (["snr-check", "--trials", str(MAX_SNR_CHECK_TRIALS + 1)], "--trials"),
 ])
 def test_bad_flag_exit_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -199,6 +200,12 @@ def test_bad_flag_exit_2(capsys, argv, flag):
     assert exc.value.code == 2
     assert any(f"argument {flag}: must be an integer" in line
                for line in capsys.readouterr().err.splitlines())
+
+
+def test_snr_check_trials_cap_parses():
+    # parsing only, nothing runs: the cap itself is accepted
+    args = build_parser().parse_args(["snr-check", "--trials", str(MAX_SNR_CHECK_TRIALS)])
+    assert args.trials == MAX_SNR_CHECK_TRIALS
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])

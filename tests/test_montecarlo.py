@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relaysim.montecarlo
 
@@ -22,10 +24,12 @@ from relaysim.montecarlo import (
     OutagePoint,
     _ber_chunk,
     _gains,
+    _outage_chunk,
     diversity_order,
     fit_diversity,
     run_ber,
     run_outage,
+    select,
     wilson_interval,
 )
 from relaysim.numerics import RngStream, sample_complex_gaussian
@@ -36,7 +40,7 @@ from relaysim.relaying import (
     optimal_relay_filter,
     relay_gain,
 )
-from relaysim.selection import STRATEGIES, select_relay_antenna, select_source_antenna
+from relaysim.selection import STRATEGIES, gamma_srd, select_relay_antenna, select_source_antenna
 
 
 class TestWilsonInterval:
@@ -360,6 +364,105 @@ def test_fixed_seed_counts(dims, strategy):
     ber = run_ber(cfg, strategy, [-3.0, 0.0], 2 * CHUNK + 500, seed=2026)
     counts = ([p.outage_count for p in outage], [p.bit_errors for p in ber])
     assert counts == GOLDEN_COUNTS[dims, strategy]
+
+
+# Optimal-relay-filter outage counts at 4x4x4, -9 and -7.5 dB, gamma0 = 1 (seed
+# 2026, 2 * CHUNK + 500 trials per point), recorded while every trial still ran
+# the eigensolve.  Here 10-21% of the trials fall between the beam's bounds.
+GOLDEN_ORF_4X4X4 = [18027, 2286]
+
+
+def svd_batch_sizes(monkeypatch) -> list[int]:
+    """Record the batch size of every relay-beam eigensolve the engines run."""
+    sizes = []
+    real = relaysim.montecarlo.dominant_singular_pair_batch
+
+    def spy(h):
+        sizes.append(h.shape[0])
+        return real(h)
+
+    monkeypatch.setattr(relaysim.montecarlo, "dominant_singular_pair_batch", spy)
+    return sizes
+
+
+def test_fixed_seed_counts_relay_filter_4x4x4(monkeypatch):
+    solved = svd_batch_sizes(monkeypatch)
+    trials = 2 * CHUNK + 500
+    outage = run_outage(SystemConfig(4, 4, 4), "optimal-relay-filter", 1.0, [-9.0, -7.5],
+                        trials, seed=2026)
+    assert [p.outage_count for p in outage] == GOLDEN_ORF_4X4X4
+    assert 0 < sum(solved) < 0.25 * 2 * trials
+
+
+def orf_gammas(cfg, stream, n):
+    """On one chunk's draws: the optimal-relay-filter post-SNR of every trial
+    through the full rule, and its antenna-selection and total-power bounds."""
+    sd, sr, rd = draw_links(stream.generator(), n, cfg)
+    gains = _gains(cfg, sd, sr, rd)
+    gamma = select(cfg, "optimal-relay-filter", *gains, rd.values())[3]
+    low = select(cfg, "mmse-receiver", *gains, None)[3]
+    high = np.max(gains[0] + gamma_srd(gains[1], gains[2].sum(axis=1, keepdims=True)), axis=1)
+    return gamma, low, high
+
+
+levels = st.sampled_from([1e-30, 1e-12, 0.05, 1.0, 20.0, 1e12, 1e30]) | st.floats(1e-30, 1e30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3), lambdas=st.tuples(*[levels] * 4),
+       n=st.integers(1, 40), seed=st.integers(0, 2**32), data=st.data())
+def test_relay_filter_outage_bounds_keep_the_count(dims, lambdas, n, seed, data):
+    cfg = SystemConfig(*dims, *lambdas)
+    stream = RngStream(seed, 3)
+    gamma, low, high = orf_gammas(cfg, stream, n)
+    # thresholds on and around a trial's post-SNR or bounds, where the margin
+    # decides, or anywhere in the full range
+    edges = [x * f for x in np.concatenate([gamma, low, high])
+             for f in (1.0, 1 - 2e-9, 1 - 1e-9, 1 + 1e-9, 1 + 2e-9, 1 / (1 - 1e-9), 1 / (1 + 1e-9))]
+    gamma0 = data.draw(st.sampled_from(edges) | st.floats(1e-300, 1e300))
+    assert _outage_chunk(cfg, "optimal-relay-filter", gamma0, stream, n) == \
+        np.count_nonzero(gamma < gamma0)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 3)])
+def test_relay_filter_outage_bounds_off_by_rounding(dims):
+    # with one relay antenna both bounds equal the beam's power in exact
+    # arithmetic; rounded, the full rule's post-SNR falls an ulp outside
+    # them on some trials, and the margin must leave those to the eigensolve
+    cfg = SystemConfig(*dims)
+    gamma, low, high = orf_gammas(cfg, RngStream(1, 1), 500)
+    below, above = np.flatnonzero(gamma < low), np.flatnonzero(gamma > high)
+    assert below.size and above.size
+    for gamma0 in (low[below[0]], gamma[above[0]]):
+        assert _outage_chunk(cfg, "optimal-relay-filter", gamma0, RngStream(1, 1), 500) == \
+            np.count_nonzero(gamma < gamma0)
+
+
+@pytest.mark.parametrize("gamma0", [1e-300, 1e300])
+@pytest.mark.parametrize("dims", [(1, 1, 1), (4, 4, 4), (2, 3, 1), (1, 4, 3)])
+def test_relay_filter_outage_without_eigensolve(monkeypatch, dims, gamma0):
+    cfg = SystemConfig(*dims, lambda_sd=1e30, lambda_sr=1e-30, lambda_rd=1e30, snr=1e-30)
+    gamma, _, _ = orf_gammas(cfg, RngStream(4, 2), 500)
+    solved = svd_batch_sizes(monkeypatch)
+    count = _outage_chunk(cfg, "optimal-relay-filter", gamma0, RngStream(4, 2), 500)
+    assert count == np.count_nonzero(gamma < gamma0) == (500 if gamma0 > 1 else 0)
+    assert sum(solved) == 0
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4), (1, 4, 4), (2, 4, 3)])
+def test_relay_filter_outage_every_trial_undecided(monkeypatch, dims):
+    # a negligible direct link and a strong first hop make the post-SNR
+    # nearly the beam's own power, so a threshold between the largest lower
+    # bound and the smallest upper bound falls inside every trial's bounds
+    cfg = SystemConfig(*dims, lambda_sd=1e-30, lambda_sr=1e30)
+    gamma, low, high = orf_gammas(cfg, RngStream(5, 0), 8)
+    assert low.max() < high.min()
+    gamma0 = np.sqrt(low.max() * high.min())
+    assert 0 < np.count_nonzero(gamma < gamma0) < 8
+    solved = svd_batch_sizes(monkeypatch)
+    assert _outage_chunk(cfg, "optimal-relay-filter", gamma0, RngStream(5, 0), 8) == \
+        np.count_nonzero(gamma < gamma0)
+    assert solved == [8]
 
 
 def scalar_ber_errors(cfg, strategy, stream, n):

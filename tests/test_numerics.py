@@ -7,6 +7,7 @@ from relaysim.numerics import (
     dominant_singular_pair,
     dominant_singular_pair_batch,
     hermitian_solve,
+    sample_gaussian_blocks,
     sample_complex_gaussian,
 )
 
@@ -134,3 +135,18 @@ class TestDominantSingularPair:
         assert np.max(np.abs(sigma - ref) / ref) < 1e-8
         av = np.einsum("bmn,bn->bm", a, v)
         assert np.max(np.abs(np.linalg.norm(av, axis=1) - sigma) / sigma) < 1e-10
+
+    @pytest.mark.parametrize("dims", [(1, 1), (4, 4), (2, 3), (4, 1), (1, 4)])
+    def test_batch_rows_are_bit_identical_to_a_subset(self, dims):
+        # optimal-relay-filter outage solves only the trials its bounds leave
+        # undecided; its counts equal the full batch's only if every item's
+        # pair is independent of the rest of the batch, bit for bit
+        blocks = sample_gaussian_blocks(RngStream(23, 1), 1000, *dims, variance=0.6)
+        h = blocks.values()
+        sigma, v = dominant_singular_pair_batch(h)
+        pick = np.flatnonzero(RngStream(23, 2).generator().random(1000) < 0.2)
+        for idx in (pick, pick[:1], pick[:0], np.arange(1000), np.arange(999, 0, -7)):
+            assert np.array_equal(blocks.values(np.s_[idx]), h[idx])
+            sub_sigma, sub_v = dominant_singular_pair_batch(h[idx])
+            assert np.array_equal(sub_sigma, sigma[idx])
+            assert np.array_equal(sub_v, v[idx])
