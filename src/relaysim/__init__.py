@@ -26,7 +26,7 @@ from .montecarlo import (
     run_outage,
     wilson_interval,
 )
-from .numerics import RngStream, dominant_singular_pair, hermitian_solve, sample_complex_gaussian
+from .numerics import RngStream, dominant_singular_pair, sample_complex_gaussian
 from .protocol import FeedbackBudget, ProtocolEvent, feedback_budget, simulate_feedback_sequence
 from .receiver import (
     ReceiverFilter,

@@ -27,9 +27,7 @@ from .errors import InsufficientStatisticsError, InvalidParameterError
 from .montecarlo import (
     CHUNK,
     fit_diversity,
-    run_ber,
     run_ber_points,
-    run_outage,
     run_outage_points,
     sweep_workers,
 )

@@ -1,4 +1,5 @@
-"""Complex linear-algebra kernel and reproducible random sampling.
+"""Reproducible random sampling and the dominant singular pair of complex
+matrices.
 
 Channel matrices here are plain complex128 numpy arrays.  All routines are
 pure: they never mutate their inputs, and randomness always flows through an
@@ -12,11 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DegenerateInputError, InvalidParameterError, NumericalError
-
-HERMITIAN_TOL = 1e-10
+from .errors import DegenerateInputError, InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -81,24 +79,6 @@ def sample_complex_gaussian(rng, *shape: int, variance: float = 1.0) -> np.ndarr
     """The complex values of :func:`sample_gaussian_blocks` (same arguments,
     same stream use)."""
     return sample_gaussian_blocks(rng, *shape, variance=variance).values()
-
-
-def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for Hermitian positive-definite a via Cholesky."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NumericalError(f"matrix must be square, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise NumericalError(f"dimension mismatch: matrix {a.shape} vs rhs {b.shape}")
-    scale = max(1.0, np.abs(a).max())
-    if np.abs(a - a.conj().T).max() > HERMITIAN_TOL * scale:
-        raise NumericalError("matrix is not Hermitian within tolerance 1e-10")
-    try:
-        c, low = scipy.linalg.cho_factor(a, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"matrix is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve((c, low), b, check_finite=False)
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig, draw_links
-from .errors import InvalidParameterError
-from .numerics import RngStream, hermitian_solve
+from .errors import InvalidParameterError, NumericalError
+from .numerics import RngStream
 from .relaying import EquivalentChannel, stacked_channel
+from .selection import mmse_post_snr, mrc_post_snr
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,26 @@ def post_snr_of_filter(w: np.ndarray, eq: EquivalentChannel, snr: float) -> floa
     return float(filter_snr(w[None], eq.h[None], eq.r_n[None], snr)[0])
 
 
+def mmse_weights(h: np.ndarray, r_n: np.ndarray, snr: float) -> np.ndarray:
+    """Batched MMSE combiners w = R_y^{-1} E_s h with R_y = E_s h h^H + R_n,
+    for h (T, M) and R_n (T, M, M)."""
+    r_y = snr * np.einsum("ti,tj->tij", h, h.conj()) + r_n
+    return np.linalg.solve(r_y, snr * h[..., None])[..., 0]
+
+
 def mmse_filter(eq: EquivalentChannel, snr: float) -> ReceiverFilter:
-    """MMSE combiner w = R_y^{-1} R_ys, solved as a Hermitian PD system."""
+    """MMSE combiner w = R_y^{-1} R_ys (a batch of one of :func:`mmse_weights`).
+
+    Raises :class:`NumericalError` unless R_y is Hermitian positive definite.
+    """
     r_y = snr * np.outer(eq.h, eq.h.conj()) + eq.r_n
-    r_y = 0.5 * (r_y + r_y.conj().T)  # symmetrize roundoff
-    w = hermitian_solve(r_y, snr * eq.h)
+    if not np.allclose(r_y, r_y.conj().T):
+        raise NumericalError("R_y is not Hermitian")
+    try:
+        np.linalg.cholesky(r_y)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"R_y is not positive definite: {exc}") from exc
+    w = mmse_weights(eq.h[None], eq.r_n[None], snr)[0]
     return ReceiverFilter(w=w, kind="mmse",
                           numerical_post_snr=post_snr_of_filter(w, eq, snr))
 
@@ -89,11 +105,7 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
     g = np.sum(np.abs(sr.values(np.s_[rows, :, i])) ** 2, axis=1)  # (T,)
     h, r_n = stacked_channel(hsd_i, g, r_vec, snr)
 
-    r_y = snr * np.einsum("ti,tj->tij", h, h.conj()) + r_n
-    w_mmse = np.linalg.solve(r_y, snr * h[..., None])[..., 0]
-
-    from .selection import mmse_post_snr, mrc_post_snr
-
+    w_mmse = mmse_weights(h, r_n, snr)
     gains = (snr * np.sum(np.abs(hsd_i) ** 2, axis=1), snr * g,
              snr * np.sum(np.abs(r_vec) ** 2, axis=1))
     return tuple(float(np.max(np.abs(filter_snr(w, h, r_n, snr) - cf) / cf))

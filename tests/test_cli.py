@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -287,3 +289,14 @@ class TestOtherCommands:
                      "--threads", "1000000"]) == 0
         manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
         assert (manifest["threads"], manifest["workers"]) == (1000000, 1)
+
+
+class TestDependencies:
+    def test_import_loads_no_scipy(self):
+        # a fresh interpreter, so modules other tests imported do not count
+        src = os.path.dirname(os.path.dirname(relaysim.cli.__file__))
+        code = ("import sys, relaysim, relaysim.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from relaysim.errors import DegenerateInputError, InvalidParameterError, NumericalError
+from relaysim.errors import DegenerateInputError, InvalidParameterError
 from relaysim.numerics import (
     RngStream,
     dominant_singular_pair,
     dominant_singular_pair_batch,
-    hermitian_solve,
     sample_gaussian_blocks,
     sample_complex_gaussian,
 )
@@ -51,39 +50,6 @@ class TestSampleComplexGaussian:
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidParameterError):
             sample_complex_gaussian(RngStream(1), 0, 2)
-
-
-class TestHermitianSolve:
-    def test_identity(self):
-        b = np.array([1 + 2j, -3j, 0.5])
-        x = hermitian_solve(np.eye(3), b)
-        assert np.allclose(x, b, rtol=1e-12)
-
-    def test_diagonal(self):
-        x = hermitian_solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
-        assert np.allclose(x, [1.0, 2.0], rtol=1e-12)
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(NumericalError):
-            hermitian_solve(np.zeros((2, 2)), np.ones(2))
-
-    def test_non_hermitian_rejected(self):
-        a = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(NumericalError):
-            hermitian_solve(a, np.ones(2))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(NumericalError):
-            hermitian_solve(np.eye(3), np.ones(2))
-
-    def test_residual_on_random_pd(self):
-        gen = RngStream(5).generator()
-        for n in range(1, 9):
-            m = sample_complex_gaussian(gen, n, n)
-            a = m @ m.conj().T + np.eye(n)
-            b = sample_complex_gaussian(gen, n, 1)[:, 0]
-            x = hermitian_solve(a, b)
-            assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestDominantSingularPair:

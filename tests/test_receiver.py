@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relaysim.channel import SystemConfig, draw_realization, link_snrs
-from relaysim.errors import InvalidParameterError
+from relaysim.errors import InvalidParameterError, NumericalError
 from relaysim.numerics import RngStream, sample_complex_gaussian
 from relaysim.receiver import (
     closed_form_check,
@@ -81,6 +81,15 @@ class TestMmseFilter:
             eq = equivalent_channel(cfg, ch, 0, 0)
             cf = mmse_post_snr(snrs.gamma_sd[0], snrs.gamma_sr[0], snrs.gamma_rd[0])
             assert mmse_filter(eq, cfg.snr).numerical_post_snr == pytest.approx(cf, rel=1e-9)
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(NumericalError):
+            mmse_filter(make_eq(np.zeros(2), np.zeros((2, 2))), 1.0)
+
+    def test_non_hermitian_rejected(self):
+        # cholesky reads one triangle only; the other must not be ignored
+        with pytest.raises(NumericalError):
+            mmse_filter(make_eq([1.0, 1.0], [[1.0, 0.5], [0.0, 1.0]]), 1.0)
 
 
 class TestMrcFilter:
