@@ -219,9 +219,12 @@ def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> i
 # ---------------------------------------------------------------------------
 
 def sweep_workers(threads: int, n_points: int, trials: int) -> int:
-    """Worker count of a sweep: min(threads, chunks in the whole sweep, CPUs).
-    One worker runs the chunks inline, with no pool."""
-    return min(threads, n_points * -(-trials // CHUNK), os.cpu_count() or 1)
+    """Worker count of a sweep: min(threads, chunks in the whole sweep, CPUs
+    this process may run on).  The CPUs are the affinity mask where the
+    platform has one, else ``os.cpu_count()``."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(threads, n_points * -(-trials // CHUNK), cpus)
 
 
 def _sweep(points: Sequence[tuple[float, SystemConfig]], strategy: str, trials: int,
@@ -230,11 +233,12 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategy: str, trials: 
     """Run kernel(cfg, stream, n) chunk by chunk over every point; returns per
     point (label_db, count, trials_used, ci_low, ci_high).
 
-    At most :func:`sweep_workers` chunks are in flight, on one pool that is
-    joined before returning.  A free worker starts the lowest (point, chunk)
-    that is certainly needed: its point's count stays below
-    ``early_stop_errors`` even if every trial of its running chunks is an
-    event, so no result in flight can stop the point before that chunk.
+    Every chunk runs on one pool of :func:`sweep_workers` workers, also when
+    that is one, and the pool is joined before returning.  A free worker
+    starts the lowest (point, chunk) that is certainly needed: its point's
+    count stays below ``early_stop_errors`` even if every trial of its
+    running chunks is an event, so no result in flight can stop the point
+    before that chunk.
     Only when no chunk is certainly needed does it start the lowest chunk
     not yet started.  Each point folds its counts in chunk order and stops
     at the first chunk where the count reaches ``early_stop_errors``; later
@@ -272,20 +276,12 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategy: str, trials: 
         return kernel(points[p][1], RngStream(seed, p * _POINT_STRIDE + c), sizes[c])
 
     workers = sweep_workers(threads, len(points), trials)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def submit(p, c) -> Future:
-        if pool is not None:
-            return pool.submit(run, p, c)
-        future = Future()
-        future.set_result(run(p, c))
-        return future
-
+    pool = ThreadPoolExecutor(max_workers=workers)
     in_flight: dict[Future, tuple[int, int]] = {}
     try:
         while True:
             while len(in_flight) < workers and (pc := next_chunk()) is not None:
-                in_flight[submit(*pc)] = pc
+                in_flight[pool.submit(run, *pc)] = pc
             if not in_flight:
                 break
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
@@ -300,8 +296,7 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategy: str, trials: 
                     count[p] += arrived[p].pop(folded[p])
                     folded[p] += 1
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
     out = []
     for p, (db, _) in enumerate(points):
         used = sum(sizes[:folded[p]])

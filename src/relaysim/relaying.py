@@ -36,6 +36,12 @@ class EquivalentChannel:
     source_antenna: int
     relay_antenna: int | None
 
+    def __post_init__(self):
+        h, r_n = np.shape(self.h), np.shape(self.r_n)
+        if len(h) != 1 or h[0] < 2 or h[0] % 2 or r_n != (h[0], h[0]):
+            raise InvalidParameterError(
+                f"h must have length 2*N_D and r_n shape (2*N_D, 2*N_D), got {h} and {r_n}")
+
 
 @dataclass(frozen=True)
 class RelayFilter:

@@ -19,6 +19,7 @@ from relaysim.channel import (
 )
 from relaysim.errors import InsufficientStatisticsError, InvalidParameterError
 from relaysim.montecarlo import (
+    _POINT_STRIDE,
     CHUNK,
     BerPoint,
     OutagePoint,
@@ -30,6 +31,7 @@ from relaysim.montecarlo import (
     run_ber,
     run_outage,
     select,
+    sweep_workers,
     wilson_interval,
 )
 from relaysim.numerics import RngStream, sample_complex_gaussian
@@ -41,6 +43,9 @@ from relaysim.relaying import (
     relay_gain,
 )
 from relaysim.selection import STRATEGIES, gamma_srd, select_relay_antenna, select_source_antenna
+
+# the CPUs this process may run on, counted by the rule of sweep_workers
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class TestWilsonInterval:
@@ -227,7 +232,7 @@ class TestWorkerPool:
         run_outage(cfg, "mmse-receiver", 1.0, [0.0, 3.0], 3 * CHUNK, seed=3, threads=2)
         assert set(threading.enumerate()) <= before
 
-    def test_failed_chunk_joins_the_pool(self, monkeypatch):
+    def test_failed_chunk_joins_the_pool(self, monkeypatch, threads=2):
         real = relaysim.montecarlo._outage_chunk
 
         def kernel(cfg, strategy, gamma0, stream, n):
@@ -239,8 +244,35 @@ class TestWorkerPool:
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="chunk failed"):
             run_outage(SystemConfig(1, 1, 1), "direct-only", 1.0, [0.0], 64 * 1024, seed=1,
-                       threads=2)
+                       threads=threads)
         assert set(threading.enumerate()) <= before
+
+    def test_failed_chunk_joins_the_pool_of_one(self, monkeypatch):
+        self.test_failed_chunk_joins_the_pool(monkeypatch, threads=1)
+
+    def test_one_worker_runs_exactly_the_chunks_used(self, monkeypatch):
+        real = relaysim.montecarlo._ber_chunk
+        calls = []
+
+        def kernel(cfg, strategy, stream, n):
+            calls.append(stream.index)
+            return real(cfg, strategy, stream, n)
+
+        monkeypatch.setattr(relaysim.montecarlo, "_ber_chunk", kernel)
+        points = run_ber(SystemConfig(2, 2, 2), "mmse-receiver", [-6.0, -3.0, 0.0, 8.0],
+                         3 * CHUNK + 77, seed=5, threads=1, early_stop_errors=2000)
+        used = [-(-p.trials // CHUNK) for p in points]
+        assert len(set(used)) >= 2
+        assert calls == [p * _POINT_STRIDE + c for p, n in enumerate(used) for c in range(n)]
+
+    def test_pool_counts_usable_cpus(self, monkeypatch):
+        # a process pinned to one CPU (taskset -c 0) still sees the
+        # machine's count in os.cpu_count()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sweep_workers(8, 4, 4 * CHUNK) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sweep_workers(8, 4, 4 * CHUNK) == 3
 
     def test_pool_no_larger_than_the_work(self, monkeypatch):
         # --threads is a cap: the pool has at most min(threads, chunks, CPUs)
@@ -287,7 +319,7 @@ class TestWorkerPool:
         assert wide == serial
         assert len(calls) <= len(snrs) + 2 - 1
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+    @pytest.mark.skipif(CPUS < 2, reason="needs two CPUs")
     def test_single_chunk_points_run_in_parallel(self, monkeypatch):
         # the pool is sized by the chunks of the whole sweep, not of one point
         real = relaysim.montecarlo._outage_chunk

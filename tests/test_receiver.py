@@ -59,8 +59,8 @@ class TestPostSnrOfFilter:
 
 class TestMmseFilter:
     def test_white_noise_collapses_to_mrc(self):
-        h = np.array([1 + 2j, 0.5, -1j])
-        eq = make_eq(h, np.eye(3))
+        h = np.array([1 + 2j, 0.5, -1j, 0.25])
+        eq = make_eq(h, np.eye(4))
         f = mmse_filter(eq, 2.0)
         direction = f.w / f.w[0]
         assert np.allclose(direction, h / h[0], rtol=1e-9)
@@ -90,6 +90,12 @@ class TestMmseFilter:
         # cholesky reads one triangle only; the other must not be ignored
         with pytest.raises(NumericalError):
             mmse_filter(make_eq([1.0, 1.0], [[1.0, 0.5], [0.0, 1.0]]), 1.0)
+
+    def test_shape_mismatch_rejected(self):
+        # an h of length 2 with a 3x3 r_n once reached the solve and failed
+        # there with numpy's broadcast error
+        with pytest.raises(InvalidParameterError):
+            mmse_filter(make_eq([1.0, 1.0], np.eye(3)), 1.0)
 
 
 class TestMrcFilter:

@@ -5,6 +5,7 @@ from relaysim.channel import ChannelRealization, SystemConfig, draw_realization,
 from relaysim.errors import DegenerateInputError, InvalidParameterError
 from relaysim.numerics import RngStream
 from relaysim.relaying import (
+    EquivalentChannel,
     equivalent_channel,
     equivalent_channel_with_filter,
     optimal_relay_filter,
@@ -95,6 +96,18 @@ class TestEquivalentChannel:
             assert np.allclose(eq.r_n[:n_d, n_d:], 0)
             assert np.allclose(eq.r_n, eq.r_n.conj().T)
             assert np.all(np.linalg.eigvalsh(eq.r_n) > 0)
+
+    @pytest.mark.parametrize("h,r_n", [
+        (np.ones(3), np.eye(3)),            # odd length: not two slots of N_D
+        (np.ones(0), np.eye(0)),            # no antenna
+        (np.ones((1, 2)), np.eye(2)),       # h not 1-D
+        (np.ones(2), np.eye(3)),            # r_n does not match h
+        (np.ones(2), np.ones(2)),           # r_n not a matrix
+    ])
+    def test_shapes_validated(self, h, r_n):
+        with pytest.raises(InvalidParameterError, match="2\\*N_D"):
+            EquivalentChannel(h=h.astype(complex), r_n=r_n.astype(complex),
+                              source_antenna=0, relay_antenna=0)
 
 
 class TestOptimalRelayFilter:
