@@ -278,30 +278,27 @@ def _run_experiment(args, mode: str) -> int:
         return EXIT_UNWRITABLE
 
     t0 = time.monotonic()
-    rows = []
+    if mode == "ber":
+        rows = run_ber_points(points, spec["strategies"], trials, seed, threads, early)
+    else:
+        rows = run_outage_points(points, spec["strategies"], float(spec["gamma0"]), trials,
+                                 seed, threads, early)
     fits = {}
-    for strategy in spec["strategies"]:
-        if mode == "ber":
-            res = run_ber_points(points, strategy, trials, seed, threads, early)
-        else:
-            res = run_outage_points(points, strategy, float(spec["gamma0"]), trials,
-                                    seed, threads, early)
-        rows.extend(res)
-        if mode == "diversity":
-            try:
-                fit = fit_diversity(res, spec.get("fit_window"))
-            except InsufficientStatisticsError as exc:
-                print(f"trials: cannot fit the {strategy} diversity slope ({exc}); raise "
-                      "trials, widen fit_window or spread sweep.values", file=sys.stderr)
-                return EXIT_BAD_SPEC
-            fits[strategy] = {"local_slopes": [float(s) for s in fit.local_slopes],
-                              "ls_slope": fit.ls_slope, "order_estimate": fit.order_estimate}
-            print(f"{strategy}: ls_slope={fit.ls_slope:.3f} "
-                  f"local={['%.3f' % s for s in fit.local_slopes]}")
+    for j, strategy in enumerate(spec["strategies"] if mode == "diversity" else []):
+        try:  # the rows are strategy-major: one block of len(points) per strategy
+            fit = fit_diversity(rows[j * len(points):][:len(points)], spec.get("fit_window"))
+        except InsufficientStatisticsError as exc:
+            print(f"trials: cannot fit the {strategy} diversity slope ({exc}); raise "
+                  "trials, widen fit_window or spread sweep.values", file=sys.stderr)
+            return EXIT_BAD_SPEC
+        fits[strategy] = {"local_slopes": [float(s) for s in fit.local_slopes],
+                          "ls_slope": fit.ls_slope, "order_estimate": fit.order_estimate}
+        print(f"{strategy}: ls_slope={fit.ls_slope:.3f} "
+              f"local={['%.3f' % s for s in fit.local_slopes]}")
     wall = time.monotonic() - t0
 
     manifest = {"spec": spec, "seed": seed, "trials": trials, "threads": threads,
-                "workers": sweep_workers(threads, len(points), trials),
+                "workers": sweep_workers(threads, len(spec["strategies"]) * len(points), trials),
                 "wall_time_s": round(wall, 3), "version": __version__,
                 "csv": os.path.basename(out_path)}
     if fits:

@@ -218,105 +218,107 @@ def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> i
 # engines
 # ---------------------------------------------------------------------------
 
-def sweep_workers(threads: int, n_points: int, trials: int) -> int:
+def sweep_workers(threads: int, n_rows: int, trials: int) -> int:
     """Worker count of a sweep: min(threads, chunks in the whole sweep, CPUs
     this process may run on).  The CPUs are the affinity mask where the
     platform has one, else ``os.cpu_count()``."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return min(threads, n_points * -(-trials // CHUNK), cpus)
+    return min(threads, n_rows * -(-trials // CHUNK), cpus)
 
 
-def _sweep(points: Sequence[tuple[float, SystemConfig]], strategy: str, trials: int,
-           seed: int, threads: int, early_stop_errors: int | None,
-           kernel) -> list[tuple[float, int, int, float, float]]:
-    """Run kernel(cfg, stream, n) chunk by chunk over every point; returns per
-    point (label_db, count, trials_used, ci_low, ci_high).
+def _sweep(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[str],
+           trials: int, seed: int, threads: int, early_stop_errors: int | None,
+           kernel) -> list[tuple[str, float, int, int, float, float]]:
+    """Run kernel(cfg, strategy, stream, n) chunk by chunk over the (strategy,
+    point) rows, strategy-major; chunk c of point p reads substream p * 2^32 + c
+    whatever the strategy.  Returns per row (strategy, label_db, count,
+    trials_used, ci_low, ci_high).
 
     Every chunk runs on one pool of :func:`sweep_workers` workers, also when
     that is one, and the pool is joined before returning.  A free worker
-    starts the lowest (point, chunk) that is certainly needed: its point's
+    starts the lowest (row, chunk) that is certainly needed: its row's
     count stays below ``early_stop_errors`` even if every trial of its
-    running chunks is an event, so no result in flight can stop the point
+    running chunks is an event, so no result in flight can stop the row
     before that chunk.
     Only when no chunk is certainly needed does it start the lowest chunk
-    not yet started.  Each point folds its counts in chunk order and stops
+    not yet started.  Each row folds its counts in chunk order and stops
     at the first chunk where the count reaches ``early_stop_errors``; later
     results for it are discarded.  One worker therefore runs exactly the
-    chunks used, in point-major order.
+    chunks used, in (strategy, point, chunk) order.
     """
     if trials < 1:
         raise InvalidParameterError("trials_per_point must be >= 1")
-    if strategy not in STRATEGIES:
-        raise InvalidParameterError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
+    if unknown := [s for s in strategies if s not in STRATEGIES]:
+        raise InvalidParameterError(f"unknown strategy {unknown[0]!r} (choose from {STRATEGIES})")
+    rows = [(strategy, p) for strategy in strategies for p in range(len(points))]
     n_chunks = (trials + CHUNK - 1) // CHUNK
     sizes = [min(CHUNK, trials - c * CHUNK) for c in range(n_chunks)]
     limit = math.inf if early_stop_errors is None else early_stop_errors
-    started = [0] * len(points)     # chunks started, in chunk order
-    folded = [0] * len(points)      # chunks folded into count, in chunk order
-    count = [0] * len(points)
-    bound = [0] * len(points)       # count once every started chunk is in, at most
-    arrived = [{} for _ in points]  # chunk -> events, arrived but not yet folded
+    started = [0] * len(rows)     # chunks started, in chunk order
+    folded = [0] * len(rows)      # chunks folded into count, in chunk order
+    count = [0] * len(rows)
+    bound = [0] * len(rows)       # count once every started chunk is in, at most
+    arrived = [{} for _ in rows]  # chunk -> events, arrived but not yet folded
 
-    def live(p) -> bool:
-        """Point p has neither stopped early nor folded all its chunks."""
-        return count[p] < limit and folded[p] < n_chunks
+    def live(r) -> bool:
+        """Row r has neither stopped early nor folded all its chunks."""
+        return count[r] < limit and folded[r] < n_chunks
 
     def next_chunk() -> tuple[int, int] | None:
-        open_ = [p for p in range(len(points)) if live(p) and started[p] < n_chunks]
+        open_ = [r for r in range(len(rows)) if live(r) and started[r] < n_chunks]
         if not open_:
             return None
-        p = next((p for p in open_ if bound[p] < limit), open_[0])
-        c = started[p]
-        started[p] += 1
-        bound[p] += sizes[c]
-        return p, c
+        r = next((r for r in open_ if bound[r] < limit), open_[0])
+        c = started[r]
+        started[r] += 1
+        bound[r] += sizes[c]
+        return r, c
 
-    def run(p, c):
-        return kernel(points[p][1], RngStream(seed, p * _POINT_STRIDE + c), sizes[c])
+    def run(r, c):
+        strategy, p = rows[r]
+        return kernel(points[p][1], strategy, RngStream(seed, p * _POINT_STRIDE + c), sizes[c])
 
-    workers = sweep_workers(threads, len(points), trials)
-    pool = ThreadPoolExecutor(max_workers=workers)
+    workers = sweep_workers(threads, len(rows), trials)
+    pool = ThreadPoolExecutor(max_workers=max(workers, 1))  # no rows: no chunks
     in_flight: dict[Future, tuple[int, int]] = {}
     try:
         while True:
-            while len(in_flight) < workers and (pc := next_chunk()) is not None:
-                in_flight[pool.submit(run, *pc)] = pc
+            while len(in_flight) < workers and (rc := next_chunk()) is not None:
+                in_flight[pool.submit(run, *rc)] = rc
             if not in_flight:
                 break
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
-                p, c = in_flight.pop(future)
+                r, c = in_flight.pop(future)
                 events = future.result()
-                if not live(p):
+                if not live(r):
                     continue
-                bound[p] += events - sizes[c]
-                arrived[p][c] = events
-                while live(p) and folded[p] in arrived[p]:
-                    count[p] += arrived[p].pop(folded[p])
-                    folded[p] += 1
+                bound[r] += events - sizes[c]
+                arrived[r][c] = events
+                while live(r) and folded[r] in arrived[r]:
+                    count[r] += arrived[r].pop(folded[r])
+                    folded[r] += 1
     finally:
         pool.shutdown(cancel_futures=True)
-    out = []
-    for p, (db, _) in enumerate(points):
-        used = sum(sizes[:folded[p]])
-        out.append((float(db), count[p], used, *wilson_interval(count[p], used)))
-    return out
+    used = [sum(sizes[:f]) for f in folded]
+    return [(strategy, float(points[p][0]), count[r], used[r], *wilson_interval(count[r], used[r]))
+            for r, (strategy, p) in enumerate(rows)]
 
 
-def run_ber_points(points: Sequence[tuple[float, SystemConfig]], strategy: str,
+def run_ber_points(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[str],
                    trials_per_point: int, seed: int, threads: int = 1,
                    early_stop_errors: int | None = None) -> list[BerPoint]:
-    """BER sweep over arbitrary (label_db, config) points.
+    """BER sweep of each strategy over (label_db, config) points, strategy-major.
 
     Per trial: draw a fading block, run the selection rule with perfect CSI,
     push one BPSK symbol through the two-slot chain, filter, detect.
     """
-    results = _sweep(points, strategy, trials_per_point, seed, threads, early_stop_errors,
-                     lambda cfg, stream, n: _ber_chunk(cfg, strategy, stream, n))
+    results = _sweep(points, strategies, trials_per_point, seed, threads, early_stop_errors,
+                     _ber_chunk)
     return [BerPoint(snr_db=db, strategy=strategy, trials=used, bit_errors=errors,
                      ber=errors / used, ci_low=lo, ci_high=hi)
-            for db, errors, used, lo, hi in results]
+            for strategy, db, errors, used, lo, hi in results]
 
 
 def run_ber(cfg: SystemConfig, strategy: str, snr_sweep_db: Sequence[float],
@@ -324,25 +326,25 @@ def run_ber(cfg: SystemConfig, strategy: str, snr_sweep_db: Sequence[float],
             early_stop_errors: int | None = None) -> list[BerPoint]:
     """BER sweep where each point scales the transmit SNR of all links."""
     points = [(db, cfg.with_snr(10.0 ** (db / 10.0))) for db in snr_sweep_db]
-    return run_ber_points(points, strategy, trials_per_point, seed, threads, early_stop_errors)
+    return run_ber_points(points, [strategy], trials_per_point, seed, threads, early_stop_errors)
 
 
-def run_outage_points(points: Sequence[tuple[float, SystemConfig]], strategy: str,
+def run_outage_points(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[str],
                       gamma0: float, trials_per_point: int, seed: int,
                       threads: int = 1,
                       early_stop_errors: int | None = None) -> list[OutagePoint]:
-    """Outage sweep over arbitrary (label_db, config) points.
+    """Outage sweep of each strategy over (label_db, config) points, strategy-major.
 
     Outage is evaluated on the closed-form post-SNR of the selected strategy;
     no symbols are simulated.
     """
     if gamma0 <= 0 or not math.isfinite(gamma0):
         raise InvalidParameterError(f"gamma0 must be finite and > 0, got {gamma0}")
-    results = _sweep(points, strategy, trials_per_point, seed, threads, early_stop_errors,
-                     lambda cfg, stream, n: _outage_chunk(cfg, strategy, gamma0, stream, n))
+    results = _sweep(points, strategies, trials_per_point, seed, threads, early_stop_errors,
+                     lambda cfg, s, stream, n: _outage_chunk(cfg, s, gamma0, stream, n))
     return [OutagePoint(snr_db=db, strategy=strategy, gamma0=gamma0, trials=used,
                         outage_count=count, p_out=count / used, ci_low=lo, ci_high=hi)
-            for db, count, used, lo, hi in results]
+            for strategy, db, count, used, lo, hi in results]
 
 
 def run_outage(cfg: SystemConfig, strategy: str, gamma0: float,
@@ -351,7 +353,7 @@ def run_outage(cfg: SystemConfig, strategy: str, gamma0: float,
                early_stop_errors: int | None = None) -> list[OutagePoint]:
     """Outage sweep where each point scales the transmit SNR of all links."""
     points = [(db, cfg.with_snr(10.0 ** (db / 10.0))) for db in snr_sweep_db]
-    return run_outage_points(points, strategy, gamma0, trials_per_point, seed, threads,
+    return run_outage_points(points, [strategy], gamma0, trials_per_point, seed, threads,
                              early_stop_errors)
 
 

@@ -10,7 +10,6 @@ two regular training slots run on the chosen antennas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .channel import ChannelRealization, SystemConfig, link_snrs
@@ -46,8 +45,8 @@ def feedback_budget(cfg: SystemConfig) -> FeedbackBudget:
     Index feedback needs ceil(log2) bits per choice; SNR estimation takes
     N_R + 2*N_S probe slots and training takes 2 slots.
     """
-    relay_bits = math.ceil(math.log2(cfg.n_r)) if cfg.n_r > 1 else 0
-    source_bits = math.ceil(math.log2(cfg.n_s)) if cfg.n_s > 1 else 0
+    relay_bits = (int(cfg.n_r) - 1).bit_length()
+    source_bits = (int(cfg.n_s) - 1).bit_length()
     est = cfg.n_r + 2 * cfg.n_s
     return FeedbackBudget(
         relay_index_bits=relay_bits,

@@ -153,6 +153,30 @@ class TestRunExperiment:
         fit = manifest["diversity_fits"]["direct-only"]
         assert 0.7 <= fit["ls_slope"] <= 1.3  # direct 1x1 has diversity order 1
 
+    def test_one_engine_call_for_all_strategies(self, tmp_path, monkeypatch):
+        real = relaysim.cli.run_outage_points
+        calls = []
+
+        def engine(points, strategies, *args):
+            calls.append(list(strategies))
+            return real(points, strategies, *args)
+
+        monkeypatch.setattr(relaysim.cli, "run_outage_points", engine)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        strategies = ["mmse-receiver", "direct-only", "fixed-antenna"]
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path, mode="outage", gamma0=1.0, strategies=strategies, trials=100)
+        out = tmp_path / "out.csv"
+        assert main(["outage", "--config", str(spec_path), "--out", str(out),
+                     "--threads", "1000000"]) == 0
+        assert calls == [strategies]
+        with open(out) as f:
+            assert [r["strategy"] for r in csv.DictReader(f)] == [
+                s for s in strategies for _ in range(2)]
+        # one pool for the run, sized by the six one-chunk (strategy, point) rows
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert manifest["workers"] == 6
+
 
 @pytest.mark.parametrize("command,spec_overrides,argv,field", [
     ("outage", {"gamma0": float("nan")}, [], "gamma0"),

@@ -13,6 +13,7 @@ from relaysim.channel import (
     ChannelRealization,
     LinkSnrs,
     SystemConfig,
+    config_from_mean_snrs_db,
     draw_channels,
     draw_links,
     link_snrs,
@@ -29,7 +30,9 @@ from relaysim.montecarlo import (
     diversity_order,
     fit_diversity,
     run_ber,
+    run_ber_points,
     run_outage,
+    run_outage_points,
     select,
     sweep_workers,
     wilson_interval,
@@ -287,13 +290,12 @@ class TestWorkerPool:
             return real(cfg, strategy, gamma0, stream, n)
 
         monkeypatch.setattr(relaysim.montecarlo, "_outage_chunk", kernel)
-        cpus = os.cpu_count() or 1
         cfg = SystemConfig(1, 1, 1)
-        for chunks in (2, cpus + 1):
+        for chunks in (2, CPUS + 1):
             alive.clear()
             wide = run_outage(cfg, "direct-only", 1.0, [0.0], chunks * CHUNK, seed=1,
                               threads=10**6)
-            assert len(alive) == chunks and max(alive) <= min(chunks, cpus)
+            assert len(alive) == chunks and max(alive) <= min(chunks, CPUS)
             assert wide == run_outage(cfg, "direct-only", 1.0, [0.0], chunks * CHUNK, seed=1)
         assert set(threading.enumerate()) <= before
 
@@ -336,6 +338,61 @@ class TestWorkerPool:
                    seed=1, threads=2)
         assert max(alive) == 2
         assert set(threading.enumerate()) <= before
+
+
+class TestStrategyRows:
+    """One sweep runs every (strategy, point) row of a multi-strategy call on
+    one pool; each row is what its own one-strategy sweep returns."""
+
+    POINTS = [(db, config_from_mean_snrs_db(2, 3, 2, sd_db=db, sr_db=2.0, rd_db=2.0))
+              for db in (-8.0, -4.0, 4.0)]
+    TRIALS = 2 * CHUNK + 77
+
+    def sweep(self, engine, strategies, threads=1):
+        if engine == "ber":
+            return run_ber_points(self.POINTS, strategies, self.TRIALS, 11, threads,
+                                  early_stop_errors=1500)
+        return run_outage_points(self.POINTS, strategies, 1.0, self.TRIALS, 11, threads,
+                                 early_stop_errors=4000)
+
+    @pytest.mark.parametrize("engine", ["ber", "outage"])
+    def test_rows_equal_one_strategy_sweeps(self, engine):
+        single = [p for s in STRATEGIES for p in self.sweep(engine, [s])]
+        used = [-(-p.trials // CHUNK) for p in single]
+        assert {1, 2, 3} <= set(used)  # rows stop at different chunks, some never
+        for threads in (1, 2, 3):
+            assert self.sweep(engine, list(STRATEGIES), threads) == single
+
+    def test_one_worker_runs_exactly_the_chunks_used(self, monkeypatch):
+        real = relaysim.montecarlo._ber_chunk
+        calls = []
+
+        def kernel(cfg, strategy, stream, n):
+            calls.append((strategy, stream.index))
+            return real(cfg, strategy, stream, n)
+
+        monkeypatch.setattr(relaysim.montecarlo, "_ber_chunk", kernel)
+        strategies = ["direct-only", "mmse-receiver", "direct-only"]
+        rows = self.sweep("ber", strategies)
+        used = [-(-p.trials // CHUNK) for p in rows]
+        assert len(set(used)) >= 2
+        n_points = len(self.POINTS)
+        assert calls == [(strategies[r // n_points], (r % n_points) * _POINT_STRIDE + c)
+                         for r, n in enumerate(used) for c in range(n)]
+
+    @pytest.mark.parametrize("engine", ["ber", "outage"])
+    def test_unknown_strategy_raises_before_any_chunk(self, monkeypatch, engine):
+        calls = []
+        for name in ("_ber_chunk", "_outage_chunk"):
+            monkeypatch.setattr(relaysim.montecarlo, name, lambda *args: calls.append(args))
+        before = set(threading.enumerate())
+        with pytest.raises(InvalidParameterError, match="alamouti"):
+            self.sweep(engine, ["mmse-receiver", "alamouti"], threads=2)
+        assert calls == []
+        assert set(threading.enumerate()) <= before
+
+    def test_no_strategies_no_rows(self):
+        assert self.sweep("outage", []) == []
 
 
 @pytest.mark.parametrize("engine", ["ber", "outage"])

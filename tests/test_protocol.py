@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from relaysim.channel import SystemConfig, draw_realization, link_snrs
@@ -34,6 +35,21 @@ class TestFeedbackBudget:
         assert b.total_feedback_bits == b.relay_index_bits + b.source_index_bits
         assert b.total_slots == b.snr_estimation_slots + b.training_slots
         assert b.snr_estimation_slots == n_r + 2 * n_s
+
+    def test_bits_exact_past_float_precision(self):
+        # 2^53 + 1 rounds to 2^53 as a float, whose log2 is exactly 53
+        b = feedback_budget(SystemConfig(2**53 + 1, 2**60 + 1, 1))
+        assert (b.source_index_bits, b.relay_index_bits) == (54, 61)
+
+    def test_bits_are_smallest_covering_power_of_two(self):
+        for n in range(1, 4097):
+            b = feedback_budget(SystemConfig(n, n, 1))
+            smallest = next(bits for bits in range(13) if 2**bits >= n)
+            assert b.source_index_bits == b.relay_index_bits == smallest
+
+    def test_numpy_integer_counts(self):
+        b = feedback_budget(SystemConfig(np.int64(5), np.int64(2), 1))
+        assert (b.source_index_bits, b.relay_index_bits) == (3, 1)
 
 
 class TestFeedbackSequence:
