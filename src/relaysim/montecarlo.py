@@ -3,7 +3,10 @@
 Both engines run one batched pipeline per chunk: draw the channels, take the
 per-antenna link SNRs (gains), apply the selection rule (:func:`select`),
 and count outages; the BER engine also pushes one symbol per trial through
-the two-slot relay chain and counts detection errors.
+the two-slot relay chain and counts detection errors.  Detection reads only
+Re(w^H y), so the chain computes that statistic with real inner products on
+the drawn real and imaginary blocks of the links and the noise; complex
+arrays remain only for the ``optimal-relay-filter`` relay beam.
 
 Trials are processed in fixed-size chunks; chunk c of sweep point p draws all
 its randomness from the Philox substream (seed, p * 2^32 + c).  Chunk
@@ -23,7 +26,8 @@ import numpy as np
 
 from .channel import SystemConfig, draw_links
 from .errors import InsufficientStatisticsError, InvalidParameterError
-from .numerics import RngStream, dominant_singular_pair_batch, sample_complex_gaussian
+from .numerics import (GaussianBlocks, RngStream, dominant_singular_pair_batch,
+                       sample_gaussian_blocks)
 from .relaying import af_constants
 from .selection import STRATEGIES, gamma_srd, mrc_post_snr
 
@@ -173,45 +177,53 @@ def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
     return int(np.count_nonzero(sure)) + int(np.count_nonzero(gamma < gamma0))
 
 
+def _columns(link: GaussianBlocks, j) -> GaussianBlocks:
+    """Column j[t] of every trial t of a drawn link, still as its blocks."""
+    rows = np.arange(len(j))
+    return GaussianBlocks(link.scale, *(np.swapaxes(b, 1, 2)[rows, j] for b in (link.re, link.im)))
+
+
+def _re_inner(x: GaussianBlocks, y: GaussianBlocks):
+    """Re(x_t^H y_t) per trial, from the real and imaginary blocks alone."""
+    return x.scale * y.scale * (np.einsum("ti,ti->t", x.re, y.re)
+                                + np.einsum("ti,ti->t", x.im, y.im))
+
+
 def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> int:
-    """Simulate n one-symbol blocks through the two-slot chain; count errors."""
+    """Simulate n one-symbol blocks through the two-slot chain; count errors.
+    Detection reads only Re(w^H y), taken from the real and imaginary blocks."""
     gen = stream.generator()
-    es = cfg.snr
     sd, sr, rd = draw_links(gen, n, cfg)
     bits = gen.integers(0, 2, n)
-    n_r = sample_complex_gaussian(gen, n, cfg.n_r)
-    n_d1 = sample_complex_gaussian(gen, n, cfg.n_d)
-    n_d2 = sample_complex_gaussian(gen, n, cfg.n_d)
+    n_r, n_d1, n_d2 = (sample_gaussian_blocks(gen, n, m) for m in (cfg.n_r, cfg.n_d, cfg.n_d))
     h_rd = rd.values() if strategy == "optimal-relay-filter" else None
     i, k, v, _ = select(cfg, strategy, *_gains(cfg, sd, sr, rd), h_rd)
 
     # first slot: the destination hears the selected source antenna directly
-    rows = np.arange(n)
-    s = (1.0 - 2.0 * bits) * math.sqrt(es)
-    h_sd_i = sd.values(np.s_[rows, :, i])
-    y1 = h_sd_i * s[:, None] + n_d1
-    stat = np.einsum("ti,ti->t", h_sd_i.conj(), y1)
+    s = (1.0 - 2.0 * bits) * math.sqrt(cfg.snr)
+    h_sd_i = _columns(sd, i)
+    stat = s * _re_inner(h_sd_i, h_sd_i) + _re_inner(h_sd_i, n_d1)
 
     if strategy != "direct-only":
-        # relay: matched-filter combine, rescale, retransmit along r_vec
-        h_sr_i = sr.values(np.s_[rows, :, i])
-        r_vec = rd.values(np.s_[rows, :, k]) if v is None else np.einsum("tdr,tr->td", h_rd, v)
-        g = np.sum(np.abs(h_sr_i) ** 2, axis=1)
-        g = np.maximum(g, 1e-300)  # measure-zero guard
-        a, c, alpha = af_constants(g, es)
-        y_r = h_sr_i * s[:, None] + n_r
-        s_relay = alpha * np.einsum("tr,tr->t", h_sr_i.conj(), y_r)
-        y2 = r_vec * s_relay[:, None] + n_d2
+        # relay: matched-filter combine, rescale, retransmit along r; only the
+        # real part of the relayed symbol alpha * h_sr_i^H y_r reaches Re(stat)
+        h_sr_i = _columns(sr, i)
+        if v is None:
+            r = _columns(rd, k)
+        else:
+            beam = np.einsum("tdr,tr->td", h_rd, v)
+            r = GaussianBlocks(1.0, beam.real, beam.imag)
+        g = np.maximum(_re_inner(h_sr_i, h_sr_i), 1e-300)  # measure-zero guard
+        a, c, alpha = af_constants(g, cfg.snr)
+        s_relay = alpha * (s * g + _re_inner(h_sr_i, n_r))
+        r_power = _re_inner(r, r)
 
         # destination: MRC weights the relayed slot by a; MMSE also whitens
         # the amplified relay noise (R_n^{-1} h, a positive multiple of the
         # MMSE filter)
-        if strategy == "mrc-receiver":
-            w2 = a[:, None] * r_vec
-        else:
-            w2 = (a / (1.0 + c * np.sum(np.abs(r_vec) ** 2, axis=1)))[:, None] * r_vec
-        stat = stat + np.einsum("ti,ti->t", w2.conj(), y2)
-    return int(np.count_nonzero((np.real(stat) < 0) != bits.astype(bool)))
+        coef = a if strategy == "mrc-receiver" else a / (1.0 + c * r_power)
+        stat = stat + coef * (s_relay * r_power + _re_inner(r, n_d2))
+    return int(np.count_nonzero((stat < 0) != bits.astype(bool)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +261,9 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[st
     """
     if trials < 1:
         raise InvalidParameterError("trials_per_point must be >= 1")
+    if isinstance(strategies, str):
+        raise InvalidParameterError(
+            f"strategies must be a list of strategy names, got the string {strategies!r}")
     if unknown := [s for s in strategies if s not in STRATEGIES]:
         raise InvalidParameterError(f"unknown strategy {unknown[0]!r} (choose from {STRATEGIES})")
     rows = [(strategy, p) for strategy in strategies for p in range(len(points))]

@@ -1,6 +1,8 @@
+import itertools
 import os
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +393,19 @@ class TestStrategyRows:
         assert calls == []
         assert set(threading.enumerate()) <= before
 
+    @pytest.mark.parametrize("engine", ["ber", "outage"])
+    def test_bare_strategy_string_raises_before_any_pool(self, monkeypatch, engine):
+        # a string is a sequence of one-letter names; it must not be taken
+        # for a list of strategies
+        calls = []
+        for name in ("_ber_chunk", "_outage_chunk", "ThreadPoolExecutor"):
+            monkeypatch.setattr(relaysim.montecarlo, name, lambda *args, **kw: calls.append(args))
+        before = set(threading.enumerate())
+        with pytest.raises(InvalidParameterError, match="list of strategy names"):
+            self.sweep(engine, "mmse-receiver", threads=2)
+        assert calls == []
+        assert set(threading.enumerate()) <= before
+
     def test_no_strategies_no_rows(self):
         assert self.sweep("outage", []) == []
 
@@ -459,6 +474,23 @@ def test_fixed_seed_counts(dims, strategy):
 # 2026, 2 * CHUNK + 500 trials per point), recorded while every trial still ran
 # the eigensolve.  Here 10-21% of the trials fall between the beam's bounds.
 GOLDEN_ORF_4X4X4 = [18027, 2286]
+
+
+# BER counts at 4x4x4, -6 and -3 dB (seed 2026, 2 * CHUNK + 500 trials per
+# point), recorded while the chain still detected on complex arrays.
+GOLDEN_BER_4X4X4 = {
+    "mmse-receiver": [859, 108],
+    "mrc-receiver": [997, 153],
+    "optimal-relay-filter": [807, 85],
+    "direct-only": [1466, 371],
+    "fixed-antenna": [2159, 559],
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_BER_4X4X4))
+def test_fixed_seed_ber_counts_4x4x4(strategy):
+    ber = run_ber(SystemConfig(4, 4, 4), strategy, [-6.0, -3.0], 2 * CHUNK + 500, seed=2026)
+    assert [p.bit_errors for p in ber] == GOLDEN_BER_4X4X4[strategy]
 
 
 def svd_batch_sizes(monkeypatch) -> list[int]:
@@ -598,10 +630,36 @@ def scalar_ber_errors(cfg, strategy, stream, n):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (1, 1, 1), (4, 4, 4)])
 def test_ber_chunk_matches_scalar_path(strategy, dims):
     cfg = SystemConfig(*dims, snr=10 ** (-0.5))
     stream = RngStream(31, 5)
     expected = scalar_ber_errors(cfg, strategy, stream, 300)
     assert expected > 0
     assert _ber_chunk(cfg, strategy, stream, 300) == expected
+
+
+# snr and each lambda log-uniform over [1e-6, 1e6]; further out the oracle's
+# mmse_filter stops finding R_y positive definite (snr 1e12 with lambda 1e6)
+log_level = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3), strategy=st.sampled_from(STRATEGIES),
+       levels=st.tuples(*[log_level] * 4), seed=st.integers(0, 2**32))
+def test_ber_chunk_matches_scalar_path_over_levels(dims, strategy, levels, seed):
+    cfg = SystemConfig(*dims, *levels)
+    stream = RngStream(seed, 2)
+    assert _ber_chunk(cfg, strategy, stream, 24) == scalar_ber_errors(cfg, strategy, stream, 24)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (4, 4, 4)])
+def test_ber_chunk_at_the_ends_of_the_range(dims, strategy):
+    # every corner of the SystemConfig range: no overflow, underflow to an
+    # invalid value or division by zero anywhere in the chain
+    for levels in itertools.product((1e-30, 1e30), repeat=4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            count = _ber_chunk(SystemConfig(*dims, *levels), strategy, RngStream(6, 1), 200)
+        assert 0 <= count <= 200
