@@ -39,13 +39,15 @@ EXIT_OK = 0
 EXIT_BAD_SPEC = 2
 EXIT_UNWRITABLE = 3
 
-# Largest n_d*n_s + n_r*n_s + n_d*n_r a run accepts: one chunk draws a real
-# and an imaginary float64 per antenna pair and trial, so 1024 pairs are
-# 256 MiB per chunk per worker.
+# Largest n_d*n_s + n_r*n_s + n_d*n_r a run accepts.  Each sweep worker keeps
+# one chunk's draw buffers resident for the whole sweep: a real and an
+# imaginary float64 per antenna pair and trial, so 1024 pairs hold 256 MiB
+# per worker.  BER adds the noise, 2*(n_r + 2*n_d) float64 per trial, which
+# is at most as much again.
 MAX_ANTENNA_PAIRS = 1024
 # Largest `snr-check --trials` under the same budget: the closed-form check
-# peaks at about 3.4 kB per trial at n = 4 (its largest system), so 2^16
-# trials are about 226 MB.
+# draws 784 bytes per trial at n = 4 (its largest system) and runs the rest
+# on row blocks, so 2^16 trials peak at about 56 MiB.
 MAX_SNR_CHECK_TRIALS = 1 << 16
 
 _MODES = ("ber", "outage", "diversity")

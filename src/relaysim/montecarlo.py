@@ -8,6 +8,14 @@ Re(w^H y), so the chain computes that statistic with real inner products on
 the drawn real and imaginary blocks of the links and the noise; complex
 arrays remain only for the ``optimal-relay-filter`` relay beam.
 
+A kernel draws into its worker thread's workspace, which holds one chunk's
+real and imaginary blocks for the latest shapes and lives as long as the
+thread.  Everything after the draw runs on blocks of
+:data:`~relaysim.numerics.ROW_BLOCK` rows.  So each chunk reuses the same
+memory, and the allocator keeps its small temporaries instead of returning
+them to the kernel.  Kernels return only counts; no view of the workspace
+leaves a chunk.
+
 Trials are processed in fixed-size chunks; chunk c of sweep point p draws all
 its randomness from the Philox substream (seed, p * 2^32 + c).  Chunk
 boundaries never depend on the worker count, and per-chunk integer counts are
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +35,7 @@ import numpy as np
 
 from .channel import SystemConfig, draw_links
 from .errors import InsufficientStatisticsError, InvalidParameterError
-from .numerics import (GaussianBlocks, RngStream, dominant_singular_pair_batch,
+from .numerics import (GaussianBlocks, RngStream, dominant_singular_pair_batch, row_blocks,
                        sample_gaussian_blocks)
 from .relaying import af_constants
 from .selection import STRATEGIES, gamma_srd, mrc_post_snr
@@ -36,6 +45,7 @@ _POINT_STRIDE = 1 << 32  # substream indices per sweep point
 # Relative margin around gamma0 inside which an optimal-relay-filter outage
 # trial is left to the eigensolve: about 1e6 times the rounding of the bounds.
 _BRACKET_MARGIN = 1e-9
+_WORKSPACE = threading.local()  # per-thread draw buffers, see _draw_buffers
 
 
 @dataclass(frozen=True)
@@ -152,9 +162,38 @@ def select(cfg: SystemConfig, strategy: str, g_sd, g_sr, g_rd, h_rd):
     return i, k, v, per_i[rows, i]
 
 
+def _draw_buffers(cfg: SystemConfig, n: int, ber: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """This thread's draw workspace: the (re, im) float64 pair of every block
+    a chunk kernel draws, in draw order (h_sd, h_sr, h_rd, then for BER the
+    relay noise and the two destination noise slots), as views of the first
+    n rows.  The thread keeps one workspace, for the shapes of its latest
+    call; other shapes, or more rows than it holds, replace it."""
+    shapes = [(cfg.n_d, cfg.n_s), (cfg.n_r, cfg.n_s), (cfg.n_d, cfg.n_r)]
+    if ber:
+        shapes += [(cfg.n_r,), (cfg.n_d,), (cfg.n_d,)]
+    held = getattr(_WORKSPACE, "buffers", None)
+    if held is None or [re.shape[1:] for re, _ in held] != shapes or held[0][0].shape[0] < n:
+        rows = max(n, CHUNK)
+        held = _WORKSPACE.buffers = [(np.empty((rows, *shape)), np.empty((rows, *shape)))
+                                     for shape in shapes]
+    return [(re[:n], im[:n]) for re, im in held]
+
+
 def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
                   stream: RngStream, n: int) -> int:
     """Count the trials whose selected post-SNR falls below gamma0.
+
+    The draws land in this thread's workspace; gains, selection and the
+    count then run one row block at a time.
+    """
+    links = draw_links(stream.generator(), n, cfg, out=_draw_buffers(cfg, n, ber=False))
+    return sum(_outage_rows(cfg, strategy, gamma0, *(link.rows(b) for link in links))
+               for b in row_blocks(n))
+
+
+def _outage_rows(cfg: SystemConfig, strategy: str, gamma0: float,
+                 sd: GaussianBlocks, sr: GaussianBlocks, rd: GaussianBlocks) -> int:
+    """The outage count of the trials of one row block.
 
     Under ``optimal-relay-filter`` the beam's power snr*sigma^2 lies between
     the best relay antenna's gain (antenna selection, the ``mmse-receiver``
@@ -164,7 +203,6 @@ def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
     margin far above the rounding of either side is decided without the
     eigensolve; only the others run the unchanged rule, on their own rows.
     """
-    sd, sr, rd = draw_links(stream.generator(), n, cfg)
     gains = _gains(cfg, sd, sr, rd)
     if strategy != "optimal-relay-filter":
         return int(np.count_nonzero(select(cfg, strategy, *gains, None)[3] < gamma0))
@@ -191,11 +229,25 @@ def _re_inner(x: GaussianBlocks, y: GaussianBlocks):
 
 def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> int:
     """Simulate n one-symbol blocks through the two-slot chain; count errors.
-    Detection reads only Re(w^H y), taken from the real and imaginary blocks."""
+
+    The links and the noise are drawn into this thread's workspace; the
+    chain then runs one row block at a time.
+    """
     gen = stream.generator()
-    sd, sr, rd = draw_links(gen, n, cfg)
+    buffers = _draw_buffers(cfg, n, ber=True)
+    links = draw_links(gen, n, cfg, out=buffers[:3])
     bits = gen.integers(0, 2, n)
-    n_r, n_d1, n_d2 = (sample_gaussian_blocks(gen, n, m) for m in (cfg.n_r, cfg.n_d, cfg.n_d))
+    noise = [sample_gaussian_blocks(gen, n, m, out=out)
+             for m, out in zip((cfg.n_r, cfg.n_d, cfg.n_d), buffers[3:])]
+    return sum(_ber_rows(cfg, strategy, bits[b], *(x.rows(b) for x in (*links, *noise)))
+               for b in row_blocks(n))
+
+
+def _ber_rows(cfg: SystemConfig, strategy: str, bits: np.ndarray,
+              sd: GaussianBlocks, sr: GaussianBlocks, rd: GaussianBlocks,
+              n_r: GaussianBlocks, n_d1: GaussianBlocks, n_d2: GaussianBlocks) -> int:
+    """The bit errors of the trials of one row block.  Detection reads only
+    Re(w^H y), taken from the real and imaginary blocks."""
     h_rd = rd.values() if strategy == "optimal-relay-filter" else None
     i, k, v, _ = select(cfg, strategy, *_gains(cfg, sd, sr, rd), h_rd)
 

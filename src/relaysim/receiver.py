@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import SystemConfig, draw_links
 from .errors import InvalidParameterError, NumericalError
-from .numerics import RngStream
+from .numerics import RngStream, row_blocks
 from .relaying import EquivalentChannel, stacked_channel
 from .selection import mmse_post_snr, mrc_post_snr
 
@@ -45,25 +45,44 @@ def post_snr_of_filter(w: np.ndarray, eq: EquivalentChannel, snr: float) -> floa
 
 
 def mmse_weights(h: np.ndarray, r_n: np.ndarray, snr: float) -> np.ndarray:
-    """Batched MMSE combiners w = R_y^{-1} E_s h with R_y = E_s h h^H + R_n,
-    for h (T, M) and R_n (T, M, M)."""
-    r_y = snr * np.einsum("ti,tj->tij", h, h.conj()) + r_n
-    return np.linalg.solve(r_y, snr * h[..., None])[..., 0]
+    """Batched MMSE combiners w = E_s R_n^{-1} h for h (T, M) and R_n (T, M, M).
+
+    With R_y = E_s h h^H + R_n, the matrix inversion lemma gives
+    R_y^{-1} E_s h = w / (1 + E_s h^H R_n^{-1} h), a positive multiple of w,
+    so w attains the MMSE post-SNR.  Solving with R_n keeps the rank-one term
+    E_s h h^H, which swamps R_n in float64 at large receive SNR, out of the
+    system.
+    """
+    return np.linalg.solve(r_n, snr * h[..., None])[..., 0]
 
 
 def mmse_filter(eq: EquivalentChannel, snr: float) -> ReceiverFilter:
-    """MMSE combiner w = R_y^{-1} R_ys (a batch of one of :func:`mmse_weights`).
+    """MMSE combiner w = E_s R_n^{-1} h, the filter :func:`mmse_weights`
+    computes for a batch, a positive multiple of R_y^{-1} R_ys.
 
-    Raises :class:`NumericalError` unless R_y is Hermitian positive definite.
+    R_n = I + c r r^H is as ill-conditioned as the relay's noise gain c|r|^2.
+    Past about 1e16 float64 loses the identity beside c r r^H, and the stored
+    R_n turns singular or slightly indefinite.  So w is solved by least
+    squares on the unit-diagonal scaling D^{-1} R_n D^{-1}, D = sqrt(diag R_n),
+    which drops only the directions that rounding made singular.  Those carry
+    a negligible share of the noise, so the post-SNR is unaffected.
+
+    Raises :class:`NumericalError` unless R_n is Hermitian, has a positive
+    diagonal and is positive semidefinite up to rounding.
     """
-    r_y = snr * np.outer(eq.h, eq.h.conj()) + eq.r_n
-    if not np.allclose(r_y, r_y.conj().T):
-        raise NumericalError("R_y is not Hermitian")
-    try:
-        np.linalg.cholesky(r_y)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"R_y is not positive definite: {exc}") from exc
-    w = mmse_weights(eq.h[None], eq.r_n[None], snr)[0]
+    r_n = eq.r_n
+    if not np.allclose(r_n, r_n.conj().T):
+        raise NumericalError("R_n is not Hermitian")
+    d = np.real(np.diag(r_n))
+    if not np.all(d > 0):
+        raise NumericalError("R_n is not positive definite: its diagonal is not positive")
+    d = np.sqrt(d)
+    scaled = r_n / np.outer(d, d)
+    lam = np.linalg.eigvalsh(scaled)
+    if lam[0] < -len(lam) * np.finfo(float).eps * lam[-1]:
+        raise NumericalError(f"R_n is not positive definite: eigenvalue {lam[0]:.3g} "
+                             f"of its unit-diagonal scaling")
+    w = np.linalg.lstsq(scaled, snr * eq.h / d, rcond=None)[0] / d
     return ReceiverFilter(w=w, kind="mmse",
                           numerical_post_snr=post_snr_of_filter(w, eq, snr))
 
@@ -92,14 +111,21 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
     Returns (max_mmse_rel_err, max_mrc_rel_err).  The numerical route builds
     the stacked channel and noise covariance explicitly, solves the MMSE
     system with a batched linear solve, and evaluates E_s|w^H h|^2/(w^H R w);
-    it never touches the closed forms.
+    it never touches the closed forms.  The draw is made for all trials at
+    once; the rest runs one row block at a time.
     """
     gen = RngStream(seed, stream_index).generator()
     sd, sr, rd = draw_links(gen, trials, SystemConfig(n_s, n_r, n_d, snr=snr))
     i = gen.integers(0, n_s, trials)
     k = gen.integers(0, n_r, trials)
+    devs = [_check_rows(sd.rows(b), sr.rows(b), rd.rows(b), i[b], k[b], snr)
+            for b in row_blocks(trials)]
+    return tuple(max(col) for col in zip(*devs))
 
-    rows = np.arange(trials)
+
+def _check_rows(sd, sr, rd, i, k, snr: float) -> tuple[float, float]:
+    """:func:`closed_form_check` over the trials of one row block."""
+    rows = np.arange(len(i))
     hsd_i = sd.values(np.s_[rows, :, i])          # (T, N_D)
     r_vec = rd.values(np.s_[rows, :, k])          # (T, N_D)
     g = np.sum(np.abs(sr.values(np.s_[rows, :, i])) ** 2, axis=1)  # (T,)

@@ -2,6 +2,7 @@ import itertools
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -639,9 +640,8 @@ def test_ber_chunk_matches_scalar_path(strategy, dims):
     assert _ber_chunk(cfg, strategy, stream, 300) == expected
 
 
-# snr and each lambda log-uniform over [1e-6, 1e6]; further out the oracle's
-# mmse_filter stops finding R_y positive definite (snr 1e12 with lambda 1e6)
-log_level = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+# snr and each lambda log-uniform over the whole SystemConfig range
+log_level = st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e)
 
 
 @settings(max_examples=150, deadline=None)
@@ -663,3 +663,59 @@ def test_ber_chunk_at_the_ends_of_the_range(dims, strategy):
             warnings.simplefilter("error", RuntimeWarning)
             count = _ber_chunk(SystemConfig(*dims, *levels), strategy, RngStream(6, 1), 200)
         assert 0 <= count <= 200
+
+
+def traced_peak_bytes(call) -> int:
+    """Peak bytes allocated during one call, traced after a warm-up call on
+    the same thread (which fills that thread's draw workspace)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+KERNEL_CASES = [(kernel, (3, 3, 3), strategy, -4.5) for kernel in ("outage", "ber")
+                for strategy in STRATEGIES] + [("outage", (4, 4, 4), "optimal-relay-filter", -7.5)]
+
+
+def kernel_call(kernel, dims, strategy, snr_db, stream, n):
+    cfg = SystemConfig(*dims, snr=10 ** (snr_db / 10))
+    if kernel == "outage":
+        return lambda: _outage_chunk(cfg, strategy, 1.0, stream, n)
+    return lambda: _ber_chunk(cfg, strategy, stream, n)
+
+
+@pytest.mark.parametrize("kernel, dims, strategy, snr_db", KERNEL_CASES)
+def test_chunk_allocation_budget(kernel, dims, strategy, snr_db):
+    # the draws reuse the thread's workspace and the rest runs on row blocks,
+    # so a full chunk allocates under 3 MB beside its 7-9 MB workspace
+    call = kernel_call(kernel, dims, strategy, snr_db, RngStream(12, 3), CHUNK)
+    assert traced_peak_bytes(call) < 3 * 2**20
+
+
+def run_on_fresh_thread(calls) -> list:
+    """Results of the calls made in order on one new thread."""
+    results = []
+    worker = threading.Thread(target=lambda: results.extend(call() for call in calls))
+    worker.start()
+    worker.join(timeout=300)
+    assert not worker.is_alive() and len(results) == len(calls)
+    return results
+
+
+def test_reused_workspace_matches_fresh_threads():
+    # one thread runs every kernel on one workspace: per mode and dims, a
+    # shrinking and growing trial count (a stale row past n would show), then
+    # the next dims in the same mode, then both modes in turn on each dims (a
+    # workspace of the wrong shapes would show); counts must equal a fresh
+    # thread's
+    dims = [(1, 1, 1), (2, 3, 4), (4, 4, 4)]
+    cases = [*itertools.product(["outage", "ber"], dims, [CHUNK, 77, CHUNK, 5000]),
+             *((kernel, d, 5000) for d in dims for kernel in ("outage", "ber"))]
+    calls = [kernel_call(kernel, d, STRATEGIES[c % len(STRATEGIES)], -3.0, RngStream(13, c), n)
+             for c, (kernel, d, n) in enumerate(cases)]
+    shared = run_on_fresh_thread(calls)
+    assert shared == [run_on_fresh_thread([call])[0] for call in calls]

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,27 @@ class TestMmseFilter:
         with pytest.raises(NumericalError):
             mmse_filter(make_eq([1.0, 1.0], [[1.0, 0.5], [0.0, 1.0]]), 1.0)
 
+    def test_indefinite_rejected(self):
+        with pytest.raises(NumericalError):
+            mmse_filter(make_eq([1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]]), 1.0)
+
+    # snr 1e12 with every lambda 1e6, and snr 1e20, where the rank-one term of
+    # R_y once swamped its identity; then every corner of the SystemConfig
+    # range, where the relay's noise gain c|r|^2 reaches 1e60 and the stored
+    # R_n = I + c r r^H is singular or indefinite in float64
+    @pytest.mark.parametrize("levels", [(1e6, 1e6, 1e6, 1e12), (1.0, 1.0, 1.0, 1e20),
+                                        *itertools.product((1e-30, 1e30), repeat=4)])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4)])
+    def test_matches_closed_form_over_the_range(self, dims, levels):
+        cfg = SystemConfig(*dims, *levels)
+        for trial in range(30):
+            ch = draw_realization(cfg, RngStream(46, trial))
+            snrs = link_snrs(cfg, ch)
+            i, k = trial % cfg.n_s, (trial // 2) % cfg.n_r
+            eq = equivalent_channel(cfg, ch, i, k)
+            cf = mmse_post_snr(snrs.gamma_sd[i], snrs.gamma_sr[i], snrs.gamma_rd[k])
+            assert mmse_filter(eq, cfg.snr).numerical_post_snr == pytest.approx(cf, rel=1e-9)
+
     def test_shape_mismatch_rejected(self):
         # an h of length 2 with a 3x3 r_n once reached the solve and failed
         # there with numpy's broadcast error
@@ -128,6 +152,17 @@ class TestClosedFormCheck:
             e_mmse, e_mrc = closed_form_check(2, 2, 2, snr, trials=2000, seed=7)
             assert e_mmse <= 1e-9
             assert e_mrc <= 1e-9
+
+    def test_allocation_budget(self):
+        # the draw for all trials is 7.7 MB; the stacked channel, the solve
+        # and the filter SNRs run on row blocks
+        tracemalloc.start()
+        try:
+            closed_form_check(4, 4, 4, 1.0, 10000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestDetectBpsk:
