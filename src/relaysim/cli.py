@@ -26,6 +26,7 @@ from .channel import SystemConfig, config_from_mean_snrs_db
 from .errors import InsufficientStatisticsError, InvalidParameterError
 from .montecarlo import (
     CHUNK,
+    MAX_TRIALS,
     fit_diversity,
     run_ber_points,
     run_outage_points,
@@ -142,6 +143,9 @@ def validate_spec(spec: dict) -> list[str]:
     trials = spec.get("trials")
     if not _is_int(trials) or trials < 1:
         diags.append(f"trials: must be an integer >= 1, got {trials!r}")
+    elif trials > MAX_TRIALS:
+        diags.append(f"trials: at most {MAX_TRIALS} per point (2^32 chunks of {CHUNK}, one "
+                     f"random substream each), got {trials}")
 
     seed = spec.get("seed", 0)
     if not _is_int(seed) or not (0 <= seed < 2**64):

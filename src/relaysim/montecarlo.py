@@ -8,17 +8,17 @@ Re(w^H y), so the chain computes that statistic with real inner products on
 the drawn real and imaginary blocks of the links and the noise; complex
 arrays remain only for the ``optimal-relay-filter`` relay beam.
 
-A kernel draws into its worker thread's workspace, which holds one chunk's
-real and imaginary blocks for the latest shapes and lives as long as the
-thread.  Everything after the draw runs on blocks of
+A kernel draws its chunk with :func:`_draw_chunk`, the one definition of a
+chunk's layout, into its worker thread's workspace, which lives as long as
+the thread.  Everything after the draw runs on blocks of
 :data:`~relaysim.numerics.ROW_BLOCK` rows.  So each chunk reuses the same
 memory, and the allocator keeps its small temporaries instead of returning
 them to the kernel.  Kernels return only counts; no view of the workspace
 leaves a chunk.
 
 Trials are processed in fixed-size chunks; chunk c of sweep point p draws all
-its randomness from the Philox substream (seed, p * 2^32 + c).  Chunk
-boundaries never depend on the worker count, and per-chunk integer counts are
+its randomness from the Philox substream (seed, p * 2^32 + c), to MAX_TRIALS
+per point.  Chunk boundaries never depend on the worker count, and counts are
 summed in chunk order, so results are bit-identical for any number of threads.
 """
 
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import SystemConfig, draw_links
+from .channel import SystemConfig
 from .errors import InsufficientStatisticsError, InvalidParameterError
 from .numerics import (GaussianBlocks, RngStream, dominant_singular_pair_batch, row_blocks,
                        sample_gaussian_blocks)
@@ -42,10 +42,11 @@ from .selection import STRATEGIES, gamma_srd, mrc_post_snr
 
 CHUNK = 1 << 14
 _POINT_STRIDE = 1 << 32  # substream indices per sweep point
+MAX_TRIALS = CHUNK * _POINT_STRIDE  # per point; more would read the next point's substreams
 # Relative margin around gamma0 inside which an optimal-relay-filter outage
 # trial is left to the eigensolve: about 1e6 times the rounding of the bounds.
 _BRACKET_MARGIN = 1e-9
-_WORKSPACE = threading.local()  # per-thread draw buffers, see _draw_buffers
+_WORKSPACE = threading.local()  # per-thread draw buffers, see _draw_chunk
 
 
 @dataclass(frozen=True)
@@ -162,31 +163,35 @@ def select(cfg: SystemConfig, strategy: str, g_sd, g_sr, g_rd, h_rd):
     return i, k, v, per_i[rows, i]
 
 
-def _draw_buffers(cfg: SystemConfig, n: int, ber: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """This thread's draw workspace: the (re, im) float64 pair of every block
-    a chunk kernel draws, in draw order (h_sd, h_sr, h_rd, then for BER the
-    relay noise and the two destination noise slots), as views of the first
-    n rows.  The thread keeps one workspace, for the shapes of its latest
-    call; other shapes, or more rows than it holds, replace it."""
-    shapes = [(cfg.n_d, cfg.n_s), (cfg.n_r, cfg.n_s), (cfg.n_d, cfg.n_r)]
+def _draw_chunk(cfg: SystemConfig, stream: RngStream, n: int, ber: bool) -> list:
+    """Draw one chunk of n trials into this thread's workspace; the one
+    definition of a chunk's layout.  Stream order: h_sd, h_sr, h_rd (n, N_rx,
+    N_tx), then for BER the bits, the relay noise (n, N_R) and the two
+    destination noise slots (n, N_D), Gaussian ones as :class:`GaussianBlocks`
+    views of the workspace.  That holds an (re, im) float64 pair per block for
+    the thread's latest shapes; other shapes, or more rows, replace it."""
+    blocks = [(cfg.lambda_sd, cfg.n_d, cfg.n_s), (cfg.lambda_sr, cfg.n_r, cfg.n_s),
+              (cfg.lambda_rd, cfg.n_d, cfg.n_r)]
     if ber:
-        shapes += [(cfg.n_r,), (cfg.n_d,), (cfg.n_d,)]
+        blocks += [None, (1.0, cfg.n_r), (1.0, cfg.n_d), (1.0, cfg.n_d)]  # None: the bits
+    shapes = [block[1:] for block in blocks if block]
     held = getattr(_WORKSPACE, "buffers", None)
     if held is None or [re.shape[1:] for re, _ in held] != shapes or held[0][0].shape[0] < n:
         rows = max(n, CHUNK)
         held = _WORKSPACE.buffers = [(np.empty((rows, *shape)), np.empty((rows, *shape)))
                                      for shape in shapes]
-    return [(re[:n], im[:n]) for re, im in held]
+    gen, pairs = stream.generator(), iter(held)
+    return [gen.integers(0, 2, n) if block is None else
+            sample_gaussian_blocks(gen, n, *block[1:], variance=block[0],
+                                   out=[half[:n] for half in next(pairs)])
+            for block in blocks]
 
 
 def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
                   stream: RngStream, n: int) -> int:
-    """Count the trials whose selected post-SNR falls below gamma0.
-
-    The draws land in this thread's workspace; gains, selection and the
-    count then run one row block at a time.
-    """
-    links = draw_links(stream.generator(), n, cfg, out=_draw_buffers(cfg, n, ber=False))
+    """Count the trials whose selected post-SNR falls below gamma0: draw the
+    chunk, then count one row block at a time."""
+    links = _draw_chunk(cfg, stream, n, ber=False)
     return sum(_outage_rows(cfg, strategy, gamma0, *(link.rows(b) for link in links))
                for b in row_blocks(n))
 
@@ -228,18 +233,10 @@ def _re_inner(x: GaussianBlocks, y: GaussianBlocks):
 
 
 def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> int:
-    """Simulate n one-symbol blocks through the two-slot chain; count errors.
-
-    The links and the noise are drawn into this thread's workspace; the
-    chain then runs one row block at a time.
-    """
-    gen = stream.generator()
-    buffers = _draw_buffers(cfg, n, ber=True)
-    links = draw_links(gen, n, cfg, out=buffers[:3])
-    bits = gen.integers(0, 2, n)
-    noise = [sample_gaussian_blocks(gen, n, m, out=out)
-             for m, out in zip((cfg.n_r, cfg.n_d, cfg.n_d), buffers[3:])]
-    return sum(_ber_rows(cfg, strategy, bits[b], *(x.rows(b) for x in (*links, *noise)))
+    """Simulate n one-symbol blocks through the two-slot chain and count the
+    errors: draw the chunk, then run the chain one row block at a time."""
+    sd, sr, rd, bits, *noise = _draw_chunk(cfg, stream, n, ber=True)
+    return sum(_ber_rows(cfg, strategy, bits[b], *(x.rows(b) for x in (sd, sr, rd, *noise)))
                for b in row_blocks(n))
 
 
@@ -311,8 +308,8 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[st
     results for it are discarded.  One worker therefore runs exactly the
     chunks used, in (strategy, point, chunk) order.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials_per_point must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise InvalidParameterError(f"trials_per_point must be in [1, {MAX_TRIALS}], got {trials}")
     if isinstance(strategies, str):
         raise InvalidParameterError(
             f"strategies must be a list of strategy names, got the string {strategies!r}")
@@ -320,13 +317,15 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[st
         raise InvalidParameterError(f"unknown strategy {unknown[0]!r} (choose from {STRATEGIES})")
     rows = [(strategy, p) for strategy in strategies for p in range(len(points))]
     n_chunks = (trials + CHUNK - 1) // CHUNK
-    sizes = [min(CHUNK, trials - c * CHUNK) for c in range(n_chunks)]
     limit = math.inf if early_stop_errors is None else early_stop_errors
     started = [0] * len(rows)     # chunks started, in chunk order
     folded = [0] * len(rows)      # chunks folded into count, in chunk order
     count = [0] * len(rows)
     bound = [0] * len(rows)       # count once every started chunk is in, at most
     arrived = [{} for _ in rows]  # chunk -> events, arrived but not yet folded
+
+    def size(c) -> int:  # trials of chunk c; only the last one can be short
+        return min(CHUNK, trials - c * CHUNK)
 
     def live(r) -> bool:
         """Row r has neither stopped early nor folded all its chunks."""
@@ -339,12 +338,12 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[st
         r = next((r for r in open_ if bound[r] < limit), open_[0])
         c = started[r]
         started[r] += 1
-        bound[r] += sizes[c]
+        bound[r] += size(c)
         return r, c
 
     def run(r, c):
         strategy, p = rows[r]
-        return kernel(points[p][1], strategy, RngStream(seed, p * _POINT_STRIDE + c), sizes[c])
+        return kernel(points[p][1], strategy, RngStream(seed, p * _POINT_STRIDE + c), size(c))
 
     workers = sweep_workers(threads, len(rows), trials)
     pool = ThreadPoolExecutor(max_workers=max(workers, 1))  # no rows: no chunks
@@ -361,14 +360,14 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[st
                 events = future.result()
                 if not live(r):
                     continue
-                bound[r] += events - sizes[c]
+                bound[r] += events - size(c)
                 arrived[r][c] = events
                 while live(r) and folded[r] in arrived[r]:
                     count[r] += arrived[r].pop(folded[r])
                     folded[r] += 1
     finally:
         pool.shutdown(cancel_futures=True)
-    used = [sum(sizes[:f]) for f in folded]
+    used = [min(f * CHUNK, trials) for f in folded]
     return [(strategy, float(points[p][0]), count[r], used[r], *wilson_interval(count[r], used[r]))
             for r, (strategy, p) in enumerate(rows)]
 

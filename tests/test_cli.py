@@ -8,6 +8,7 @@ import pytest
 
 import relaysim.cli
 from relaysim.cli import MAX_SNR_CHECK_TRIALS, build_parser, main, validate_spec
+from relaysim.montecarlo import MAX_TRIALS
 
 
 def write_spec(path, **overrides):
@@ -50,6 +51,15 @@ class TestValidateSpec:
         assert not any(d.startswith("system") for d in validate_spec(spec))
         spec = {"system": {"n_s": 2, "n_r": 2, "n_d": 256}}
         assert any(d.startswith("system: ") and "1028" in d for d in validate_spec(spec))
+
+    def test_trials_limit(self, tmp_path):
+        # chunk 2^32 of a point would read the substream of the next point's
+        # chunk 0, so trials stop at 2^32 chunks
+        assert MAX_TRIALS == 16384 * 2**32 == 70_368_744_177_664
+        spec = write_spec(tmp_path / "spec.json", trials=MAX_TRIALS)
+        assert validate_spec(spec) == []
+        diags = validate_spec({**spec, "trials": MAX_TRIALS + 1})
+        assert [d for d in diags if d.startswith("trials:")] == diags != []
 
     def test_missing_gamma0_for_outage(self):
         diags = validate_spec({"mode": "outage"})
@@ -195,9 +205,10 @@ class TestRunExperiment:
      "trials"),
     # one trial, so a run that got past validate would draw only ~100 MB
     ("outage", {"system": {"n_s": 1000000, "n_r": 2, "n_d": 2}, "trials": 1}, [], "system"),
+    ("outage", {}, ["--trials", str(MAX_TRIALS + 1)], "trials"),
 ], ids=["gamma0-nan", "n_s-bool", "relay-db-string", "values-inf", "snr-overflow",
         "gain-underflow", "trials-override", "seed-override", "diversity-one-point",
-        "diversity-zero-outage", "system-too-large"])
+        "diversity-zero-outage", "system-too-large", "trials-past-substreams"])
 def test_bad_run_input_exit_2(tmp_path, capsys, command, spec_overrides, argv, field):
     spec_path = tmp_path / "spec.json"
     write_spec(spec_path, **{"mode": command, "gamma0": 1.0, "strategies": ["direct-only"],

@@ -25,6 +25,7 @@ from relaysim.errors import InsufficientStatisticsError, InvalidParameterError
 from relaysim.montecarlo import (
     _POINT_STRIDE,
     CHUNK,
+    MAX_TRIALS,
     BerPoint,
     OutagePoint,
     _ber_chunk,
@@ -48,7 +49,13 @@ from relaysim.relaying import (
     optimal_relay_filter,
     relay_gain,
 )
-from relaysim.selection import STRATEGIES, gamma_srd, select_relay_antenna, select_source_antenna
+from relaysim.selection import (
+    STRATEGIES,
+    gamma_srd,
+    mmse_post_snr,
+    select_relay_antenna,
+    select_source_antenna,
+)
 
 # the CPUs this process may run on, counted by the rule of sweep_workers
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -324,6 +331,21 @@ class TestWorkerPool:
         assert wide == serial
         assert len(calls) <= len(snrs) + 2 - 1
 
+    def test_bookkeeping_does_not_grow_with_trials(self, monkeypatch):
+        # every chunk is all events, so each row stops at its first chunk; the
+        # sweep's own state must not grow with the 610k chunks it was asked for
+        monkeypatch.setattr(relaysim.montecarlo, "_outage_chunk",
+                            lambda cfg, strategy, gamma0, stream, n: n)
+        tracemalloc.start()
+        try:
+            points = run_outage(SystemConfig(1, 1, 1), "direct-only", 1.0, [0.0, 3.0], 10**10,
+                                seed=1, threads=2, early_stop_errors=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert [p.trials for p in points] == [CHUNK, CHUNK]
+
     @pytest.mark.skipif(CPUS < 2, reason="needs two CPUs")
     def test_single_chunk_points_run_in_parallel(self, monkeypatch):
         # the pool is sized by the chunks of the whole sweep, not of one point
@@ -351,11 +373,11 @@ class TestStrategyRows:
               for db in (-8.0, -4.0, 4.0)]
     TRIALS = 2 * CHUNK + 77
 
-    def sweep(self, engine, strategies, threads=1):
+    def sweep(self, engine, strategies, threads=1, trials=TRIALS):
         if engine == "ber":
-            return run_ber_points(self.POINTS, strategies, self.TRIALS, 11, threads,
+            return run_ber_points(self.POINTS, strategies, trials, 11, threads,
                                   early_stop_errors=1500)
-        return run_outage_points(self.POINTS, strategies, 1.0, self.TRIALS, 11, threads,
+        return run_outage_points(self.POINTS, strategies, 1.0, trials, 11, threads,
                                  early_stop_errors=4000)
 
     @pytest.mark.parametrize("engine", ["ber", "outage"])
@@ -404,6 +426,19 @@ class TestStrategyRows:
         before = set(threading.enumerate())
         with pytest.raises(InvalidParameterError, match="list of strategy names"):
             self.sweep(engine, "mmse-receiver", threads=2)
+        assert calls == []
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("engine", ["ber", "outage"])
+    def test_trials_past_the_substreams_raise_before_any_pool(self, monkeypatch, engine):
+        # chunk 2^32 of a point would read the substream of the next point's
+        # chunk 0, so two points would share draws
+        calls = []
+        for name in ("_ber_chunk", "_outage_chunk", "ThreadPoolExecutor"):
+            monkeypatch.setattr(relaysim.montecarlo, name, lambda *args, **kw: calls.append(args))
+        before = set(threading.enumerate())
+        with pytest.raises(InvalidParameterError, match="trials_per_point"):
+            self.sweep(engine, ["mmse-receiver"], threads=2, trials=MAX_TRIALS + 1)
         assert calls == []
         assert set(threading.enumerate()) <= before
 
@@ -628,6 +663,40 @@ def scalar_ber_errors(cfg, strategy, stream, n):
         rx = mrc_filter if strategy == "mrc-receiver" else mmse_filter
         errors += detect_bpsk(rx(eq, cfg.snr).w, y) != bits[t]
     return errors
+
+
+def scalar_outage_count(cfg, strategy, gamma0, stream, n):
+    """Replay an outage chunk's draws trial by trial through the scalar API:
+    link SNRs, selection rule, post-SNR of the selected configuration."""
+    h_sd, h_sr, h_rd = draw_channels(stream.generator(), n, cfg)
+    count = 0
+    for t in range(n):
+        ch = ChannelRealization(h_sd=h_sd[t], h_sr=h_sr[t], h_rd=h_rd[t])
+        snrs = link_snrs(cfg, ch)
+        if strategy == "direct-only":
+            gamma = np.max(snrs.gamma_sd)
+        elif strategy == "fixed-antenna":
+            gamma = mmse_post_snr(snrs.gamma_sd[0], snrs.gamma_sr[0], snrs.gamma_rd[0])
+        elif strategy == "optimal-relay-filter":
+            lam = optimal_relay_filter(ch, 0, cfg.snr).lambda_rd
+            beam = LinkSnrs(snrs.gamma_sd, snrs.gamma_sr, np.array([cfg.snr * lam]))
+            gamma = select_source_antenna(beam, 0).predicted_post_snr
+        else:
+            receiver = "mrc" if strategy == "mrc-receiver" else "mmse"
+            gamma = select_source_antenna(snrs, select_relay_antenna(snrs),
+                                          receiver).predicted_post_snr
+        count += int(gamma < gamma0)
+    return count
+
+
+@pytest.mark.parametrize("gamma0", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (3, 2, 4), (4, 4, 4)])
+def test_outage_chunk_matches_scalar_path(dims, strategy, gamma0):
+    cfg = SystemConfig(*dims, snr=10 ** (-0.5))
+    stream = RngStream(37, 4)
+    assert _outage_chunk(cfg, strategy, gamma0, stream, 400) == \
+        scalar_outage_count(cfg, strategy, gamma0, stream, 400)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
