@@ -69,17 +69,14 @@ class LinkSnrs:
     gamma_rd: np.ndarray  # (N_R,)
 
 
-def draw_links(gen: np.random.Generator, n: int, cfg: SystemConfig, out=None):
+def draw_links(gen: np.random.Generator, n: int, cfg: SystemConfig):
     """Draw n independent Rayleigh blocks in the fixed order h_sd, h_sr, h_rd,
     each link's real block before its imaginary block.  Returns each link as
     :class:`~relaysim.numerics.GaussianBlocks` of shape (n, N_rx, N_tx), so a
-    caller builds complex values only for the entries it reads.  ``out``
-    gives each link's (re, im) arrays to fill, as the ``out`` of
-    :func:`~relaysim.numerics.sample_gaussian_blocks`."""
-    sd, sr, rd = (None,) * 3 if out is None else out
-    return (sample_gaussian_blocks(gen, n, cfg.n_d, cfg.n_s, variance=cfg.lambda_sd, out=sd),
-            sample_gaussian_blocks(gen, n, cfg.n_r, cfg.n_s, variance=cfg.lambda_sr, out=sr),
-            sample_gaussian_blocks(gen, n, cfg.n_d, cfg.n_r, variance=cfg.lambda_rd, out=rd))
+    caller builds complex values only for the entries it reads."""
+    return (sample_gaussian_blocks(gen, n, cfg.n_d, cfg.n_s, variance=cfg.lambda_sd),
+            sample_gaussian_blocks(gen, n, cfg.n_r, cfg.n_s, variance=cfg.lambda_sr),
+            sample_gaussian_blocks(gen, n, cfg.n_d, cfg.n_r, variance=cfg.lambda_rd))
 
 
 def draw_channels(gen: np.random.Generator, n: int, cfg: SystemConfig):

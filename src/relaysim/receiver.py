@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemConfig, draw_links
+from .channel import SystemConfig
 from .errors import InvalidParameterError, NumericalError
-from .numerics import RngStream, row_blocks
+from .numerics import RngStream, row_blocks, sample_complex_gaussian
 from .relaying import EquivalentChannel, stacked_channel
 from .selection import mmse_post_snr, mrc_post_snr
 
@@ -106,29 +106,32 @@ def detect_bpsk(w: np.ndarray, y_d: np.ndarray) -> int:
 def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
                       trials: int, seed: int, stream_index: int = 0) -> tuple[float, float]:
     """Max relative deviation of the closed-form post-SNRs from numerically
-    evaluated filters over random realizations with random antenna choices.
+    evaluated filters over random realizations of one (source, relay)
+    antenna pair.
 
     Returns (max_mmse_rel_err, max_mrc_rel_err).  The numerical route builds
     the stacked channel and noise covariance explicitly, solves the MMSE
     system with a batched linear solve, and evaluates E_s|w^H h|^2/(w^H R w);
-    it never touches the closed forms.  The draw is made for all trials at
-    once; the rest runs one row block at a time.
+    it never touches the closed forms.  Under i.i.d. unit-gain Rayleigh links
+    the pair's columns h_sd,i (N_D), h_sr,i (N_R) and h_rd,k (N_D) are
+    independent CN(0, I) vectors, so each row block draws just these, in that
+    order, from the one generator of ``RngStream(seed, stream_index)``, and
+    memory does not grow with ``trials``.  n_s is only validated.
     """
+    SystemConfig(n_s, n_r, n_d, snr=snr)  # raises on bad sizes or snr
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     gen = RngStream(seed, stream_index).generator()
-    sd, sr, rd = draw_links(gen, trials, SystemConfig(n_s, n_r, n_d, snr=snr))
-    i = gen.integers(0, n_s, trials)
-    k = gen.integers(0, n_r, trials)
-    devs = [_check_rows(sd.rows(b), sr.rows(b), rd.rows(b), i[b], k[b], snr)
+    sizes = (n_d, n_r, n_d)  # h_sd,i, h_sr,i, h_rd,k
+    devs = [_check_rows(*(sample_complex_gaussian(gen, b.stop - b.start, m) for m in sizes), snr)
             for b in row_blocks(trials)]
     return tuple(max(col) for col in zip(*devs))
 
 
-def _check_rows(sd, sr, rd, i, k, snr: float) -> tuple[float, float]:
-    """:func:`closed_form_check` over the trials of one row block."""
-    rows = np.arange(len(i))
-    hsd_i = sd.values(np.s_[rows, :, i])          # (T, N_D)
-    r_vec = rd.values(np.s_[rows, :, k])          # (T, N_D)
-    g = np.sum(np.abs(sr.values(np.s_[rows, :, i])) ** 2, axis=1)  # (T,)
+def _check_rows(hsd_i, hsr_i, r_vec, snr: float) -> tuple[float, float]:
+    """:func:`closed_form_check` over the (T, N_D), (T, N_R) and (T, N_D)
+    vectors of one row block."""
+    g = np.sum(np.abs(hsr_i) ** 2, axis=1)  # (T,)
     h, r_n = stacked_channel(hsd_i, g, r_vec, snr)
 
     w_mmse = mmse_weights(h, r_n, snr)

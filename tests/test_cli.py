@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import relaysim.cli
-from relaysim.cli import MAX_SNR_CHECK_TRIALS, build_parser, main, validate_spec
+from relaysim.cli import main, validate_spec
 from relaysim.montecarlo import MAX_TRIALS
 
 
@@ -51,6 +51,13 @@ class TestValidateSpec:
         assert not any(d.startswith("system") for d in validate_spec(spec))
         spec = {"system": {"n_s": 2, "n_r": 2, "n_d": 256}}
         assert any(d.startswith("system: ") and "1028" in d for d in validate_spec(spec))
+
+    def test_unread_keys_named(self):
+        spec = {"early_stop_error": 5,
+                "sweep": {"axis": "mean-direct-snr-db", "values": [0.0], "lambda_sd": 2.0}}
+        diags = validate_spec(spec)
+        assert "early_stop_error: unknown key" in diags
+        assert "sweep.lambda_sd: applies only to axis 'transmit-snr-db'" in diags
 
     def test_trials_limit(self, tmp_path):
         # chunk 2^32 of a point would read the substream of the next point's
@@ -206,9 +213,22 @@ class TestRunExperiment:
     # one trial, so a run that got past validate would draw only ~100 MB
     ("outage", {"system": {"n_s": 1000000, "n_r": 2, "n_d": 2}, "trials": 1}, [], "system"),
     ("outage", {}, ["--trials", str(MAX_TRIALS + 1)], "trials"),
+    # a key nothing reads would be ignored without a word
+    ("outage", {"early_stop_error": 10}, [], "early_stop_error"),
+    ("outage", {"system": {"n_s": 2, "n_r": 2, "n_d": 2, "n_x": 2}}, [], "system.n_x"),
+    ("outage", {"sweep": {"axis": "transmit-snr-db", "values": [0.0], "lamda_sd": 2.0}}, [],
+     "sweep.lamda_sd"),
+    ("outage", {"sweep": {"axis": "mean-direct-snr-db", "values": [0.0], "lambda_sd": 1000}},
+     [], "sweep.lambda_sd"),
+    ("outage", {"sweep": {"axis": "transmit-snr-db", "values": [0.0],
+                          "relay_mean_snr_db": 2.0}}, [], "sweep.relay_mean_snr_db"),
+    ("ber", {"sweep": {"axis": "transmit-snr-db", "values": [0.0],
+                       "snr_reference": "aggregate"}}, [], "sweep.snr_reference"),
 ], ids=["gamma0-nan", "n_s-bool", "relay-db-string", "values-inf", "snr-overflow",
         "gain-underflow", "trials-override", "seed-override", "diversity-one-point",
-        "diversity-zero-outage", "system-too-large", "trials-past-substreams"])
+        "diversity-zero-outage", "system-too-large", "trials-past-substreams",
+        "unknown-key", "unknown-system-key", "unknown-sweep-key", "lambda-on-mean-axis",
+        "relay-db-on-transmit-axis", "reference-on-transmit-axis"])
 def test_bad_run_input_exit_2(tmp_path, capsys, command, spec_overrides, argv, field):
     spec_path = tmp_path / "spec.json"
     write_spec(spec_path, **{"mode": command, "gamma0": 1.0, "strategies": ["direct-only"],
@@ -229,7 +249,6 @@ def test_bad_run_input_exit_2(tmp_path, capsys, command, spec_overrides, argv, f
     (["protocol", "--ns", "2", "--nr", "2", "--nd", "0"], "--nd"),
     (["outage", "--config", "spec.json", "--threads", "0"], "--threads"),
     (["ber", "--config", "spec.json", "--threads", "-3"], "--threads"),
-    (["snr-check", "--trials", str(MAX_SNR_CHECK_TRIALS + 1)], "--trials"),
 ])
 def test_bad_flag_exit_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -237,12 +256,6 @@ def test_bad_flag_exit_2(capsys, argv, flag):
     assert exc.value.code == 2
     assert any(f"argument {flag}: must be an integer" in line
                for line in capsys.readouterr().err.splitlines())
-
-
-def test_snr_check_trials_cap_parses():
-    # parsing only, nothing runs: the cap itself is accepted
-    args = build_parser().parse_args(["snr-check", "--trials", str(MAX_SNR_CHECK_TRIALS)])
-    assert args.trials == MAX_SNR_CHECK_TRIALS
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])

@@ -19,17 +19,22 @@ positive = st.one_of(st.floats(1e-3, 1e3),
                      st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 
 
+# the optional sweep keys of each axis, each with a strategy for its value
+AXIS_KEYS = {
+    "transmit-snr-db": {key: positive for key in ("lambda_sd", "lambda_sr", "lambda_rd")},
+    "mean-direct-snr-db": {"relay_mean_snr_db": db_values,
+                           "snr_reference": st.sampled_from(["per-pair", "aggregate"])},
+}
+
+
 @st.composite
 def specs(draw):
-    sweep = {"axis": draw(st.sampled_from(["transmit-snr-db", "mean-direct-snr-db"])),
+    axis = draw(st.sampled_from(sorted(AXIS_KEYS)))
+    sweep = {"axis": axis,
              "values": sorted(set(draw(st.lists(db_values, min_size=1, max_size=3))))}
-    for key in ("lambda_sd", "lambda_sr", "lambda_rd"):
+    for key, values in AXIS_KEYS[axis].items():
         if draw(st.booleans()):
-            sweep[key] = draw(positive)
-    if draw(st.booleans()):
-        sweep["relay_mean_snr_db"] = draw(db_values)
-    if draw(st.booleans()):
-        sweep["snr_reference"] = draw(st.sampled_from(["per-pair", "aggregate"]))
+            sweep[key] = draw(values)
     spec = {
         "mode": draw(st.sampled_from(["ber", "outage", "diversity"])),
         "system": {key: draw(st.integers(1, 4)) for key in ("n_s", "n_r", "n_d")},
@@ -45,6 +50,12 @@ def specs(draw):
     if draw(st.booleans()):
         low, high = sorted(draw(st.lists(positive, min_size=2, max_size=2, unique=True)))
         spec["fit_window"] = [low, high]
+    # now and then a key that nothing reads: another axis's key or a typo
+    if draw(st.integers(0, 7)) == 7:
+        other = next(a for a in AXIS_KEYS if a != axis)
+        where, key = draw(st.sampled_from([(sweep, k) for k in AXIS_KEYS[other]] + [
+            (spec, "early_stop_error"), (spec["system"], "n_x"), (sweep, "lamda_sd")]))
+        where[key] = draw(AXIS_KEYS[other].get(key, st.integers(1, 4)))
     return spec
 
 

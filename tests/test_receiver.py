@@ -15,7 +15,7 @@ from relaysim.receiver import (
     post_snr_of_filter,
 )
 from relaysim.relaying import EquivalentChannel, equivalent_channel
-from relaysim.selection import mmse_post_snr, mrc_post_snr
+from relaysim.selection import mmse_post_snr, mrc_post_snr, mrc_post_snr_variant
 
 
 def make_eq(h, r_n):
@@ -154,15 +154,43 @@ class TestClosedFormCheck:
             assert e_mrc <= 1e-9
 
     def test_allocation_budget(self):
-        # the draw for all trials is 7.7 MB; the stacked channel, the solve
-        # and the filter SNRs run on row blocks
-        tracemalloc.start()
-        try:
-            closed_form_check(4, 4, 4, 1.0, 10000, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        # the draw, the stacked channel, the solve and the filter SNRs all run
+        # on row blocks, so the peak does not grow with trials
+        for trials in (10000, 2**17):
+            tracemalloc.start()
+            try:
+                closed_form_check(4, 4, 4, 1.0, trials, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, trials
+
+    @pytest.mark.parametrize("name,wrong,column", [
+        ("mmse_post_snr", lambda *gains: mmse_post_snr(*gains) * (1 + 1e-6), 0),
+        ("mrc_post_snr", mrc_post_snr_variant, 1),
+    ], ids=["mmse-scaled", "mrc-variant"])
+    def test_wrong_closed_form_is_caught(self, monkeypatch, name, wrong, column):
+        monkeypatch.setattr(f"relaysim.receiver.{name}", wrong)
+        assert closed_form_check(4, 4, 4, 1.0, 5000, 3)[column] > 1e-9
+
+    def test_draws_only_three_vectors_per_trial(self, monkeypatch):
+        # 2*(2*N_D + N_R) standard normals per trial, no index draw: the
+        # check's generator ends where one that drew just those normals ends
+        gens, generator = [], RngStream.generator
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda stream: gens.append(generator(stream)) or gens[-1])
+        closed_form_check(5, 2, 3, 1.0, 5000, 4, 6)
+        [gen] = gens
+        ref = RngStream(4, 6).generator()
+        ref.standard_normal(5000 * 2 * (2 * 3 + 2))
+        assert gen.standard_normal() == ref.standard_normal()
+
+    @pytest.mark.parametrize("args", [
+        (2, 2, 2, 1.0, 0, 1), (0, 2, 2, 1.0, 10, 1), (2, 2, 2, 0.0, 10, 1),
+    ], ids=["no-trials", "no-source-antenna", "zero-snr"])
+    def test_rejects_bad_input(self, args):
+        with pytest.raises(InvalidParameterError):
+            closed_form_check(*args)
 
 
 class TestDetectBpsk:
