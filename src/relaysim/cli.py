@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 import time
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .channel import SystemConfig, config_from_mean_snrs_db
@@ -49,20 +50,16 @@ MAX_ANTENNA_PAIRS = 1024
 
 _MODES = ("ber", "outage", "diversity")
 _AXES = ("transmit-snr-db", "mean-direct-snr-db")
-_SPEC_KEYS = ("mode", "system", "strategies", "sweep", "trials", "seed", "gamma0",
-              "early_stop_errors", "fit_window")
 _SYSTEM_KEYS = ("n_s", "n_r", "n_d")
-# the optional sweep keys, each with the one axis that reads it
-_SWEEP_KEY_AXIS = {**dict.fromkeys(("lambda_sd", "lambda_sr", "lambda_rd"), "transmit-snr-db"),
-                   **dict.fromkeys(("relay_mean_snr_db", "snr_reference"), "mean-direct-snr-db")}
 
 
 # ---------------------------------------------------------------------------
 # experiment spec handling
 # ---------------------------------------------------------------------------
 
-def load_spec(path: str) -> tuple[dict | None, list[str]]:
-    """Parse an experiment spec file; returns (spec, diagnostics)."""
+def load_spec(path: str, overrides: dict | None = None) -> tuple[dict | None, list[str]]:
+    """Parse an experiment spec file; returns (spec, diagnostics), the
+    diagnostics for the spec with ``overrides`` such as --trials applied."""
     try:
         with open(path) as f:
             spec = json.load(f)
@@ -72,7 +69,7 @@ def load_spec(path: str) -> tuple[dict | None, list[str]]:
         return None, [f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"]
     if not isinstance(spec, dict):
         return None, [f"{path}: top level must be a JSON object"]
-    return spec, validate_spec(spec)
+    return spec, validate_spec({**spec, **(overrides or {})})
 
 
 def _is_int(v) -> bool:
@@ -84,13 +81,65 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _is_positive(v) -> bool:
+    return _is_number(v) and v > 0
+
+
+class _Key(NamedTuple):
+    """A scalar spec key; a bad value gets "<field>: must be <rule>, got <value>"."""
+    readers: tuple[str, ...]  # the modes (top level) or sweep axes that read it
+    default: object           # used where it is read but absent, or _REQUIRED
+    ok: Callable[[object], bool]
+    rule: str
+
+
+_REQUIRED = object()  # the default of a key that must be given wherever it is read
+_KEYS = {
+    "trials": _Key(_MODES, _REQUIRED, lambda v: _is_int(v) and 1 <= v <= MAX_TRIALS,
+                   f"an integer in [1, {MAX_TRIALS}] (2^32 chunks of {CHUNK})"),
+    "seed": _Key(_MODES, 0, lambda v: _is_int(v) and 0 <= v < 2**64,
+                 "an unsigned 64-bit integer"),
+    "gamma0": _Key(("outage", "diversity"), _REQUIRED, _is_positive, "a finite positive number"),
+    "early_stop_errors": _Key(_MODES, None, lambda v: v is None or _is_int(v) and v >= 1,
+                              "an integer >= 1 or null"),
+    "fit_window": _Key(("diversity",), None, lambda v: v is None or (
+        isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v)) and v[0] < v[1]),
+        "[low, high] with 0 < low < high, or null"),
+}
+_SWEEP_KEYS = {
+    **dict.fromkeys(("lambda_sd", "lambda_sr", "lambda_rd"), _Key(
+        ("transmit-snr-db",), 1.0, _is_positive, "a finite positive number")),
+    "relay_mean_snr_db": _Key(("mean-direct-snr-db",), 2.0, _is_number, "a finite number"),
+    "snr_reference": _Key(("mean-direct-snr-db",), "per-pair",
+                          lambda v: v in ("per-pair", "aggregate"), "'per-pair' or 'aggregate'"),
+}
+
+
+def _check_keys(section: dict, table: dict, structural: tuple[str, ...], kind: str,
+                reader, prefix: str = "") -> list[str]:
+    """Diagnostics for the keys of one spec section, read by ``reader`` (a mode
+    or an axis, None if invalid): keys in neither ``table`` nor ``structural``,
+    then table keys that are missing where required, unread, or bad."""
+    diags = [f"{prefix}{key}: unknown key" for key in section
+             if key not in table and key not in structural]
+    for key, k in table.items():
+        if key not in section:
+            if k.default is _REQUIRED and reader in k.readers:
+                diags.append(f"{prefix}{key}: required for {kind} {reader!r}, must be {k.rule}")
+        elif reader is not None and reader not in k.readers:
+            readers = " or ".join(map(repr, k.readers))
+            diags.append(f"{prefix}{key}: applies only to {kind} {readers}")
+        elif not k.ok(section[key]):
+            diags.append(f"{prefix}{key}: must be {k.rule}, got {section[key]!r}")
+    return diags
+
+
 def validate_spec(spec: dict) -> list[str]:
     """Full structural and range validation; returns every violation found."""
-    diags = [f"{key}: unknown key" for key in spec if key not in _SPEC_KEYS]
-
     mode = spec.get("mode")
-    if mode not in _MODES:
-        diags.append(f"mode: must be one of {_MODES}, got {mode!r}")
+    diags = [] if mode in _MODES else [f"mode: must be one of {_MODES}, got {mode!r}"]
+    diags += _check_keys(spec, _KEYS, ("mode", "system", "strategies", "sweep"), "mode",
+                         mode if mode in _MODES else None)
 
     system = spec.get("system")
     if not isinstance(system, dict):
@@ -124,12 +173,8 @@ def validate_spec(spec: dict) -> list[str]:
         axis = sweep.get("axis")
         if axis not in _AXES:
             diags.append(f"sweep.axis: must be one of {_AXES}, got {axis!r}")
-        for key in sweep:
-            owner = _SWEEP_KEY_AXIS.get(key)
-            if owner is None and key not in ("axis", "values"):
-                diags.append(f"sweep.{key}: unknown key")
-            elif owner not in (None, axis) and axis in _AXES:
-                diags.append(f"sweep.{key}: applies only to axis {owner!r}")
+        diags += _check_keys(sweep, _SWEEP_KEYS, ("axis", "values"), "axis",
+                             axis if axis in _AXES else None, "sweep.")
         values = sweep.get("values")
         if not isinstance(values, list) or len(values) < 1 or \
                 not all(_is_number(v) for v in values):
@@ -138,43 +183,6 @@ def validate_spec(spec: dict) -> list[str]:
             diags.append("sweep.values: must be strictly increasing")
         elif mode == "diversity" and len(values) < 2:
             diags.append("sweep.values: diversity mode needs at least 2 points to fit")
-        for key in ("lambda_sd", "lambda_sr", "lambda_rd"):
-            v = sweep.get(key)
-            if v is not None and (not _is_number(v) or v <= 0):
-                diags.append(f"sweep.{key}: must be a finite positive number, got {v!r}")
-        relay_db = sweep.get("relay_mean_snr_db")
-        if relay_db is not None and not _is_number(relay_db):
-            diags.append(f"sweep.relay_mean_snr_db: must be a finite number, got {relay_db!r}")
-        ref = sweep.get("snr_reference", "per-pair")
-        if ref not in ("per-pair", "aggregate"):
-            diags.append(f"sweep.snr_reference: must be 'per-pair' or 'aggregate', got {ref!r}")
-
-    trials = spec.get("trials")
-    if not _is_int(trials) or trials < 1:
-        diags.append(f"trials: must be an integer >= 1, got {trials!r}")
-    elif trials > MAX_TRIALS:
-        diags.append(f"trials: at most {MAX_TRIALS} per point (2^32 chunks of {CHUNK}, one "
-                     f"random substream each), got {trials}")
-
-    seed = spec.get("seed", 0)
-    if not _is_int(seed) or not (0 <= seed < 2**64):
-        diags.append(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
-
-    if mode in ("outage", "diversity"):
-        gamma0 = spec.get("gamma0")
-        if not _is_number(gamma0) or gamma0 <= 0:
-            diags.append(f"gamma0: must be a positive number for mode {mode!r}, got {gamma0!r}")
-
-    es = spec.get("early_stop_errors")
-    if es is not None and (not _is_int(es) or es < 1):
-        diags.append(f"early_stop_errors: must be an integer >= 1 or null, got {es!r}")
-
-    window = spec.get("fit_window")
-    if window is not None:
-        if (not isinstance(window, list) or len(window) != 2
-                or not all(_is_number(v) and v > 0 for v in window)
-                or window[0] >= window[1]):
-            diags.append(f"fit_window: must be [low, high] with 0 < low < high, got {window!r}")
 
     if not diags:
         # in-range numbers can still give a zero or overflowing linear gain
@@ -189,24 +197,17 @@ def validate_spec(spec: dict) -> list[str]:
 def _sweep_points(spec: dict) -> list[tuple[float, SystemConfig]]:
     """Materialize (label_db, config) pairs for the spec's sweep axis."""
     system = spec["system"]
-    sweep = spec["sweep"]
+    sweep = {**{key: k.default for key, k in _SWEEP_KEYS.items()}, **spec["sweep"]}
     values = [float(v) for v in sweep["values"]]
-    ref = sweep.get("snr_reference", "per-pair")
     if sweep["axis"] == "transmit-snr-db":
-        base = SystemConfig(
-            n_s=system["n_s"], n_r=system["n_r"], n_d=system["n_d"],
-            lambda_sd=float(sweep.get("lambda_sd", 1.0)),
-            lambda_sr=float(sweep.get("lambda_sr", 1.0)),
-            lambda_rd=float(sweep.get("lambda_rd", 1.0)),
-        )
+        base = SystemConfig(**system, lambda_sd=float(sweep["lambda_sd"]),
+                            lambda_sr=float(sweep["lambda_sr"]),
+                            lambda_rd=float(sweep["lambda_rd"]))
         return [(db, base.with_snr(10.0 ** (db / 10.0))) for db in values]
-    relay_db = float(sweep.get("relay_mean_snr_db", 2.0))
-    return [
-        (db, config_from_mean_snrs_db(
-            system["n_s"], system["n_r"], system["n_d"],
-            sd_db=db, sr_db=relay_db, rd_db=relay_db, snr=1.0, reference=ref))
-        for db in values
-    ]
+    relay_db = float(sweep["relay_mean_snr_db"])
+    return [(db, config_from_mean_snrs_db(**system, sd_db=db, sr_db=relay_db, rd_db=relay_db,
+                                          snr=1.0, reference=sweep["snr_reference"]))
+            for db in values]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +270,8 @@ def _resolve_threads(args, diags: list[str]) -> int:
 
 
 def _run_experiment(args, mode: str) -> int:
-    spec, diags = load_spec(args.config)
     overrides = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
-    if spec is not None and overrides:
-        diags = validate_spec({**spec, **overrides})
+    spec, diags = load_spec(args.config, overrides)
     if spec is not None and spec.get("mode") not in (None, mode):
         diags.append(f"mode: spec says {spec.get('mode')!r} but subcommand is {mode!r}")
     threads = _resolve_threads(args, diags)
@@ -281,10 +280,9 @@ def _run_experiment(args, mode: str) -> int:
             print(d, file=sys.stderr)
         return EXIT_BAD_SPEC
 
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    trials = args.trials if args.trials is not None else spec["trials"]
+    run = {**{key: k.default for key, k in _KEYS.items()}, **spec, **overrides}
+    seed, trials, early = run["seed"], run["trials"], run["early_stop_errors"]
     out_path = args.out or f"{mode}_results.csv"
-    early = spec.get("early_stop_errors")
     points = _sweep_points(spec)
     try:
         _check_output(out_path)
@@ -296,12 +294,12 @@ def _run_experiment(args, mode: str) -> int:
     if mode == "ber":
         rows = run_ber_points(points, spec["strategies"], trials, seed, threads, early)
     else:
-        rows = run_outage_points(points, spec["strategies"], float(spec["gamma0"]), trials,
+        rows = run_outage_points(points, spec["strategies"], float(run["gamma0"]), trials,
                                  seed, threads, early)
     fits = {}
     for j, strategy in enumerate(spec["strategies"] if mode == "diversity" else []):
         try:  # the rows are strategy-major: one block of len(points) per strategy
-            fit = fit_diversity(rows[j * len(points):][:len(points)], spec.get("fit_window"))
+            fit = fit_diversity(rows[j * len(points):][:len(points)], run["fit_window"])
         except InsufficientStatisticsError as exc:
             print(f"trials: cannot fit the {strategy} diversity slope ({exc}); raise "
                   "trials, widen fit_window or spread sweep.values", file=sys.stderr)

@@ -310,6 +310,11 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[st
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidParameterError(f"trials_per_point must be in [1, {MAX_TRIALS}], got {trials}")
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+    if early_stop_errors is not None and early_stop_errors < 1:
+        raise InvalidParameterError(
+            f"early_stop_errors must be >= 1 or None, got {early_stop_errors}")
     if isinstance(strategies, str):
         raise InvalidParameterError(
             f"strategies must be a list of strategy names, got the string {strategies!r}")

@@ -11,7 +11,7 @@ from relaysim.cli import main, validate_spec
 from relaysim.montecarlo import MAX_TRIALS
 
 
-def write_spec(path, **overrides):
+def make_spec(**overrides):
     spec = {
         "mode": "ber",
         "system": {"n_s": 2, "n_r": 2, "n_d": 2},
@@ -21,8 +21,17 @@ def write_spec(path, **overrides):
         "seed": 1,
     }
     spec.update(overrides)
+    return spec
+
+
+def write_spec(path, **overrides):
+    spec = make_spec(**overrides)
     path.write_text(json.dumps(spec))
     return spec
+
+
+TRANSMIT = {"axis": "transmit-snr-db", "values": [0.0]}
+MEAN = {"axis": "mean-direct-snr-db", "values": [0.0]}
 
 
 class TestValidateSpec:
@@ -72,6 +81,78 @@ class TestValidateSpec:
         diags = validate_spec({"mode": "outage"})
         assert any(d.startswith("gamma0:") for d in diags)
 
+    # each scalar key with a bad value, then each key present where its mode
+    # or axis does not read it; trials, seed and early_stop_errors are read by
+    # every mode, so they have no such case
+    @pytest.mark.parametrize("overrides,line", [
+        ({"trials": 1.5}, "trials: must be an integer in [1, 70368744177664] "
+                          "(2^32 chunks of 16384), got 1.5"),
+        ({"seed": 2**64}, f"seed: must be an unsigned 64-bit integer, got {2**64}"),
+        ({"mode": "outage", "gamma0": 0}, "gamma0: must be a finite positive number, got 0"),
+        ({"early_stop_errors": 0}, "early_stop_errors: must be an integer >= 1 or null, got 0"),
+        ({"mode": "diversity", "gamma0": 1.0, "fit_window": [0.1, 0.01]},
+         "fit_window: must be [low, high] with 0 < low < high, or null, got [0.1, 0.01]"),
+        ({"sweep": {**TRANSMIT, "lambda_sd": None}},
+         "sweep.lambda_sd: must be a finite positive number, got None"),
+        ({"sweep": {**TRANSMIT, "lambda_sr": 0.0}},
+         "sweep.lambda_sr: must be a finite positive number, got 0.0"),
+        ({"sweep": {**TRANSMIT, "lambda_rd": "1"}},
+         "sweep.lambda_rd: must be a finite positive number, got '1'"),
+        ({"sweep": {**MEAN, "relay_mean_snr_db": None}},
+         "sweep.relay_mean_snr_db: must be a finite number, got None"),
+        ({"sweep": {**MEAN, "snr_reference": "total"}},
+         "sweep.snr_reference: must be 'per-pair' or 'aggregate', got 'total'"),
+        ({"trials": None}, "trials: must be an integer in [1, 70368744177664] "
+                           "(2^32 chunks of 16384), got None"),
+        ({"mode": "diversity", "gamma0": None},
+         "gamma0: must be a finite positive number, got None"),
+        ({"mode": "ber", "gamma0": 5.0}, "gamma0: applies only to mode 'outage' or 'diversity'"),
+        ({"mode": "ber", "fit_window": [1e-3, 0.1]}, "fit_window: applies only to mode 'diversity'"),
+        ({"mode": "outage", "gamma0": 1.0, "fit_window": None},
+         "fit_window: applies only to mode 'diversity'"),
+        ({"sweep": {**MEAN, "lambda_sd": 2.0}},
+         "sweep.lambda_sd: applies only to axis 'transmit-snr-db'"),
+        ({"sweep": {**MEAN, "lambda_sr": 2.0}},
+         "sweep.lambda_sr: applies only to axis 'transmit-snr-db'"),
+        ({"sweep": {**MEAN, "lambda_rd": None}},
+         "sweep.lambda_rd: applies only to axis 'transmit-snr-db'"),
+        ({"sweep": {**TRANSMIT, "relay_mean_snr_db": 2.0}},
+         "sweep.relay_mean_snr_db: applies only to axis 'mean-direct-snr-db'"),
+        ({"sweep": {**TRANSMIT, "snr_reference": "per-pair"}},
+         "sweep.snr_reference: applies only to axis 'mean-direct-snr-db'"),
+        ({"sweep": {"axis": "sweep-db", "values": [0.0], "lambda_sd": 2.0}},
+         "sweep.axis: must be one of ('transmit-snr-db', 'mean-direct-snr-db'), got 'sweep-db'"),
+    ], ids=["trials-bad", "seed-bad", "gamma0-bad", "early-stop-bad", "fit-window-bad",
+            "lambda-sd-null", "lambda-sr-bad", "lambda-rd-bad", "relay-db-null",
+            "reference-bad", "trials-null", "gamma0-null", "gamma0-unread",
+            "fit-window-unread-ber", "fit-window-unread-outage", "lambda-sd-unread",
+            "lambda-sr-unread", "lambda-rd-unread", "relay-db-unread", "reference-unread",
+            "axis-bad"])
+    def test_key_rules(self, overrides, line):
+        diags = validate_spec(make_spec(**overrides))
+        assert diags == [line]
+
+    @pytest.mark.parametrize("mode,key", [("ber", "trials"), ("outage", "gamma0"),
+                                          ("diversity", "gamma0")])
+    def test_missing_required_key_names_the_mode(self, mode, key):
+        spec = make_spec(mode=mode, **({"gamma0": 1.0} if mode != "ber" else {}))
+        del spec[key]
+        assert validate_spec(spec) == [f"{key}: required for mode {mode!r}, must be "
+                                       + relaysim.cli._KEYS[key].rule]
+
+    def test_invalid_mode_checks_values_only(self):
+        # with no valid mode nothing can be unread or missing; values still count
+        diags = validate_spec(make_spec(mode="bogus", gamma0=-1.0, fit_window=[1e-3, 0.1]))
+        assert diags == ["mode: must be one of ('ber', 'outage', 'diversity'), got 'bogus'",
+                         "gamma0: must be a finite positive number, got -1.0"]
+
+    @pytest.mark.parametrize("sweep,defaults", [
+        (TRANSMIT, {"lambda_sd": 1.0, "lambda_sr": 1.0, "lambda_rd": 1.0}),
+        (MEAN, {"relay_mean_snr_db": 2.0, "snr_reference": "per-pair"})])
+    def test_sweep_defaults(self, sweep, defaults):
+        points = relaysim.cli._sweep_points
+        assert points(make_spec(sweep=sweep)) == points(make_spec(sweep={**sweep, **defaults}))
+
 
 class TestValidateCommand:
     def test_ok(self, tmp_path, capsys):
@@ -90,6 +171,15 @@ class TestValidateCommand:
         p = tmp_path / "spec.json"
         p.write_text("{not json")
         assert main(["validate", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("text,line", [
+        (None, ": cannot read: "), ("[1, 2]", ": top level must be a JSON object")])
+    def test_unusable_file(self, tmp_path, capsys, text, line):
+        p = tmp_path / "spec.json"
+        if text is not None:
+            p.write_text(text)
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().out.startswith(f"{p}{line}")
 
 
 class TestRunExperiment:
@@ -170,6 +260,30 @@ class TestRunExperiment:
         fit = manifest["diversity_fits"]["direct-only"]
         assert 0.7 <= fit["ls_slope"] <= 1.3  # direct 1x1 has diversity order 1
 
+    @pytest.mark.parametrize("argv,overrides", [
+        ([], {}), (["--trials", "300"], {"trials": 300}), (["--seed", "9"], {"seed": 9}),
+        (["--trials", "300", "--seed", "9"], {"trials": 300, "seed": 9})])
+    def test_one_validation_per_run(self, tmp_path, monkeypatch, argv, overrides):
+        real = relaysim.cli.validate_spec
+        seen = []
+
+        def validate(spec):
+            seen.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(relaysim.cli, "validate_spec", validate)
+        spec_path = tmp_path / "spec.json"
+        spec = write_spec(spec_path, mode="outage", gamma0=1.0, strategies=["direct-only"],
+                          trials=100)
+        out = tmp_path / "out.csv"
+        assert main(["outage", "--config", str(spec_path), "--out", str(out), *argv]) == 0
+        effective = {**spec, **overrides}
+        assert seen == [effective]
+        # the manifest keeps the file's spec and records the effective values
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert manifest["spec"] == spec
+        assert (manifest["trials"], manifest["seed"]) == (effective["trials"], effective["seed"])
+
     def test_one_engine_call_for_all_strategies(self, tmp_path, monkeypatch):
         real = relaysim.cli.run_outage_points
         calls = []
@@ -224,14 +338,20 @@ class TestRunExperiment:
                           "relay_mean_snr_db": 2.0}}, [], "sweep.relay_mean_snr_db"),
     ("ber", {"sweep": {"axis": "transmit-snr-db", "values": [0.0],
                        "snr_reference": "aggregate"}}, [], "sweep.snr_reference"),
+    # a key the run's mode does not read
+    ("ber", {"gamma0": 5.0}, [], "gamma0"),
+    ("ber", {"fit_window": [0.001, 0.1]}, [], "fit_window"),
+    ("outage", {"fit_window": [0.001, 0.1]}, [], "fit_window"),
 ], ids=["gamma0-nan", "n_s-bool", "relay-db-string", "values-inf", "snr-overflow",
         "gain-underflow", "trials-override", "seed-override", "diversity-one-point",
         "diversity-zero-outage", "system-too-large", "trials-past-substreams",
         "unknown-key", "unknown-system-key", "unknown-sweep-key", "lambda-on-mean-axis",
-        "relay-db-on-transmit-axis", "reference-on-transmit-axis"])
+        "relay-db-on-transmit-axis", "reference-on-transmit-axis", "gamma0-in-ber",
+        "fit-window-in-ber", "fit-window-in-outage"])
 def test_bad_run_input_exit_2(tmp_path, capsys, command, spec_overrides, argv, field):
     spec_path = tmp_path / "spec.json"
-    write_spec(spec_path, **{"mode": command, "gamma0": 1.0, "strategies": ["direct-only"],
+    gamma0 = {} if command == "ber" else {"gamma0": 1.0}
+    write_spec(spec_path, **{"mode": command, **gamma0, "strategies": ["direct-only"],
                              "trials": 100, **spec_overrides})
     out = tmp_path / "out.csv"
     assert main([command, "--config", str(spec_path), "--out", str(out), *argv]) == 2
@@ -279,7 +399,7 @@ class TestOutputFiles:
         monkeypatch.setattr(relaysim.cli, "run_outage_points", engine)
         spec_path = tmp_path / "spec.json"
         for mode in ("ber", "outage"):
-            write_spec(spec_path, mode=mode, gamma0=1.0)
+            write_spec(spec_path, mode=mode, **({"gamma0": 1.0} if mode == "outage" else {}))
             for out in (tmp_path / "no_such_dir" / "out.csv", tmp_path):
                 assert main([mode, "--config", str(spec_path), "--out", str(out)]) == 3
                 assert "cannot write output" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from relaysim.selection import STRATEGIES
 db_values = st.one_of(st.floats(-40.0, 40.0), st.floats(allow_nan=False, allow_infinity=False))
 positive = st.one_of(st.floats(1e-3, 1e3),
                      st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+windows = st.lists(positive, min_size=2, max_size=2, unique=True).map(sorted)
 
 
 # the optional sweep keys of each axis, each with a strategy for its value
@@ -35,27 +36,34 @@ def specs(draw):
     for key, values in AXIS_KEYS[axis].items():
         if draw(st.booleans()):
             sweep[key] = draw(values)
+    mode = draw(st.sampled_from(["ber", "outage", "diversity"]))
     spec = {
-        "mode": draw(st.sampled_from(["ber", "outage", "diversity"])),
+        "mode": mode,
         "system": {key: draw(st.integers(1, 4)) for key in ("n_s", "n_r", "n_d")},
         "strategies": draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=2,
                                     unique=True)),
         "sweep": sweep,
         "trials": draw(st.integers(1, 64)),
         "seed": draw(st.integers(0, 2**64 - 1)),
-        "gamma0": draw(positive),
     }
+    # each key only where the mode reads it
+    if mode != "ber":
+        spec["gamma0"] = draw(positive)
     if draw(st.booleans()):
         spec["early_stop_errors"] = draw(st.integers(1, 64))
-    if draw(st.booleans()):
-        low, high = sorted(draw(st.lists(positive, min_size=2, max_size=2, unique=True)))
-        spec["fit_window"] = [low, high]
-    # now and then a key that nothing reads: another axis's key or a typo
+    if mode == "diversity" and draw(st.booleans()):
+        spec["fit_window"] = draw(windows)
+    # now and then a key that nothing reads: another axis's key, a key of
+    # another mode, or a typo
     if draw(st.integers(0, 7)) == 7:
         other = next(a for a in AXIS_KEYS if a != axis)
-        where, key = draw(st.sampled_from([(sweep, k) for k in AXIS_KEYS[other]] + [
-            (spec, "early_stop_error"), (spec["system"], "n_x"), (sweep, "lamda_sd")]))
-        where[key] = draw(AXIS_KEYS[other].get(key, st.integers(1, 4)))
+        unread = [(sweep, key, values) for key, values in AXIS_KEYS[other].items()] + [
+            (spec, "early_stop_error", st.integers(1, 4)),
+            (spec["system"], "n_x", st.integers(1, 4)), (sweep, "lamda_sd", st.integers(1, 4))]
+        unread += {"ber": [(spec, "gamma0", positive)],
+                   "outage": [(spec, "fit_window", windows)]}.get(mode, [])
+        where, key, values = draw(st.sampled_from(unread))
+        where[key] = draw(values)
     return spec
 
 
@@ -69,7 +77,7 @@ def specs(draw):
                "strategies": ["optimal-relay-filter"],
                "sweep": {"axis": "transmit-snr-db", "values": [0.0],
                          "lambda_rd": 4.779718510495437e+307},
-               "trials": 1, "seed": 10000, "gamma0": 1.0})  # once a LinAlgError in eigh
+               "trials": 1, "seed": 10000})  # once a LinAlgError in eigh
 def test_accepted_spec_runs_or_exits_2(spec):
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = os.path.join(tmp, "spec.json")

@@ -139,6 +139,11 @@ class TestFitDiversity:
         assert len(fit.snr_db) == 2
         assert fit.ls_slope == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("low", [0.0, -1e-3])
+    def test_window_bounds_must_be_positive(self, low):
+        with pytest.raises(InvalidParameterError, match="window bounds must be positive"):
+            fit_diversity(outage_points([10.0, 20.0], [1e-2, 1e-4]), window=(low, 0.1))
+
     def test_accepts_ber_points(self):
         pts = [BerPoint(s, "direct-only", 10**6, 100, 10 ** (-s / 10), 0, 1)
                for s in (10.0, 20.0)]
@@ -416,6 +421,12 @@ class TestStrategyRows:
         assert calls == []
         assert set(threading.enumerate()) <= before
 
+    def test_select_rejects_unknown_strategy(self):
+        cfg = SystemConfig(2, 2, 2)
+        g = np.ones((4, 2))
+        with pytest.raises(InvalidParameterError, match="unknown strategy 'alamouti'"):
+            select(cfg, "alamouti", g, g, g, None)
+
     @pytest.mark.parametrize("engine", ["ber", "outage"])
     def test_bare_strategy_string_raises_before_any_pool(self, monkeypatch, engine):
         # a string is a sequence of one-letter names; it must not be taken
@@ -439,6 +450,24 @@ class TestStrategyRows:
         before = set(threading.enumerate())
         with pytest.raises(InvalidParameterError, match="trials_per_point"):
             self.sweep(engine, ["mmse-receiver"], threads=2, trials=MAX_TRIALS + 1)
+        assert calls == []
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("engine", ["ber", "outage"])
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"threads": 0}, "threads"), ({"threads": -2}, "threads"),
+        ({"early_stop_errors": 0}, "early_stop_errors"),
+        ({"early_stop_errors": -1}, "early_stop_errors")])
+    def test_bad_threads_or_early_stop_raise_before_any_pool(self, monkeypatch, engine, kwargs,
+                                                               name):
+        calls = []
+        for fn in ("_ber_chunk", "_outage_chunk", "ThreadPoolExecutor"):
+            monkeypatch.setattr(relaysim.montecarlo, fn, lambda *args, **kw: calls.append(args))
+        before = set(threading.enumerate())
+        run, gamma0 = (run_ber, {}) if engine == "ber" else (run_outage, {"gamma0": 1.0})
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be"):
+            run(SystemConfig(2, 2, 2), "mmse-receiver", snr_sweep_db=[0.0],
+                trials_per_point=1000, seed=1, **gamma0, **kwargs)
         assert calls == []
         assert set(threading.enumerate()) <= before
 

@@ -93,6 +93,11 @@ class TestDominantSingularPair:
         with pytest.raises(DegenerateInputError):
             dominant_singular_pair(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 2)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(InvalidParameterError, match=f"ndim={len(shape)}"):
+            dominant_singular_pair(np.ones(shape))
+
     def test_batch_matches_svd(self):
         gen = RngStream(17).generator()
         a = (gen.standard_normal((500, 3, 4)) + 1j * gen.standard_normal((500, 3, 4))) / np.sqrt(2)
