@@ -35,8 +35,8 @@ import numpy as np
 
 from .channel import SystemConfig
 from .errors import InsufficientStatisticsError, InvalidParameterError
-from .numerics import (GaussianBlocks, RngStream, dominant_singular_pair_batch, row_blocks,
-                       sample_gaussian_blocks)
+from .numerics import (GaussianBlocks, RngStream, dominant_singular_pair_batch, re_inner,
+                       row_blocks, sample_gaussian_blocks)
 from .relaying import af_constants
 from .selection import STRATEGIES, gamma_srd, mrc_post_snr
 
@@ -226,12 +226,6 @@ def _columns(link: GaussianBlocks, j) -> GaussianBlocks:
     return GaussianBlocks(link.scale, *(np.swapaxes(b, 1, 2)[rows, j] for b in (link.re, link.im)))
 
 
-def _re_inner(x: GaussianBlocks, y: GaussianBlocks):
-    """Re(x_t^H y_t) per trial, from the real and imaginary blocks alone."""
-    return x.scale * y.scale * (np.einsum("ti,ti->t", x.re, y.re)
-                                + np.einsum("ti,ti->t", x.im, y.im))
-
-
 def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> int:
     """Simulate n one-symbol blocks through the two-slot chain and count the
     errors: draw the chunk, then run the chain one row block at a time."""
@@ -251,7 +245,7 @@ def _ber_rows(cfg: SystemConfig, strategy: str, bits: np.ndarray,
     # first slot: the destination hears the selected source antenna directly
     s = (1.0 - 2.0 * bits) * math.sqrt(cfg.snr)
     h_sd_i = _columns(sd, i)
-    stat = s * _re_inner(h_sd_i, h_sd_i) + _re_inner(h_sd_i, n_d1)
+    stat = s * re_inner(h_sd_i, h_sd_i) + re_inner(h_sd_i, n_d1)
 
     if strategy != "direct-only":
         # relay: matched-filter combine, rescale, retransmit along r; only the
@@ -262,16 +256,16 @@ def _ber_rows(cfg: SystemConfig, strategy: str, bits: np.ndarray,
         else:
             beam = np.einsum("tdr,tr->td", h_rd, v)
             r = GaussianBlocks(1.0, beam.real, beam.imag)
-        g = np.maximum(_re_inner(h_sr_i, h_sr_i), 1e-300)  # measure-zero guard
+        g = np.maximum(re_inner(h_sr_i, h_sr_i), 1e-300)  # measure-zero guard
         a, c, alpha = af_constants(g, cfg.snr)
-        s_relay = alpha * (s * g + _re_inner(h_sr_i, n_r))
-        r_power = _re_inner(r, r)
+        s_relay = alpha * (s * g + re_inner(h_sr_i, n_r))
+        r_power = re_inner(r, r)
 
         # destination: MRC weights the relayed slot by a; MMSE also whitens
         # the amplified relay noise (R_n^{-1} h, a positive multiple of the
         # MMSE filter)
         coef = a if strategy == "mrc-receiver" else a / (1.0 + c * r_power)
-        stat = stat + coef * (s_relay * r_power + _re_inner(r, n_d2))
+        stat = stat + coef * (s_relay * r_power + re_inner(r, n_d2))
     return int(np.count_nonzero((stat < 0) != bits.astype(bool)))
 
 

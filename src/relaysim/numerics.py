@@ -68,6 +68,13 @@ class GaussianBlocks(NamedTuple):
         return GaussianBlocks(self.scale, self.re[index], self.im[index])
 
 
+def re_inner(x: GaussianBlocks, y: GaussianBlocks):
+    """Re(x_t^H y_t) per trial t of two (T, M) draws, from the real and
+    imaginary blocks alone; re_inner(x, x) is the squared norm of each row."""
+    return x.scale * y.scale * (np.einsum("ti,ti->t", x.re, y.re)
+                                + np.einsum("ti,ti->t", x.im, y.im))
+
+
 def row_blocks(n: int) -> list[slice]:
     """Consecutive slices of at most :data:`ROW_BLOCK` rows covering range(n)."""
     return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .errors import InvalidParameterError, NumericalError
-from .numerics import RngStream, row_blocks, sample_complex_gaussian
+from .numerics import GaussianBlocks, RngStream, re_inner, row_blocks, sample_gaussian_blocks
 from .relaying import EquivalentChannel, stacked_channel
 from .selection import mmse_post_snr, mrc_post_snr
 
@@ -27,45 +27,31 @@ class ReceiverFilter:
     numerical_post_snr: float
 
 
-def filter_snr(w: np.ndarray, h: np.ndarray, r_n: np.ndarray, snr: float) -> np.ndarray:
-    """Batched SNR at the output of linear filters, E_s |w^H h|^2 / (w^H R_n w),
-    for w, h (T, M) and R_n (T, M, M).  Invariant to rescaling of each w."""
-    signal = snr * np.abs(np.einsum("ti,ti->t", w.conj(), h)) ** 2
-    noise = np.real(np.einsum("ti,tij,tj->t", w.conj(), r_n, w))
-    return signal / noise
-
-
 def post_snr_of_filter(w: np.ndarray, eq: EquivalentChannel, snr: float) -> float:
-    """SNR at the output of one nonzero linear filter (a batch of one of
-    :func:`filter_snr`)."""
+    """SNR at the output of one nonzero linear filter,
+    E_s |w^H h|^2 / (w^H R_n w), on the full noise covariance of ``eq``.
+    Invariant to rescaling of w."""
     w = np.asarray(w, dtype=complex)
     if not np.any(w):
         raise InvalidParameterError("filter vector must be nonzero")
-    return float(filter_snr(w[None], eq.h[None], eq.r_n[None], snr)[0])
-
-
-def mmse_weights(h: np.ndarray, r_n: np.ndarray, snr: float) -> np.ndarray:
-    """Batched MMSE combiners w = E_s R_n^{-1} h for h (T, M) and R_n (T, M, M).
-
-    With R_y = E_s h h^H + R_n, the matrix inversion lemma gives
-    R_y^{-1} E_s h = w / (1 + E_s h^H R_n^{-1} h), a positive multiple of w,
-    so w attains the MMSE post-SNR.  Solving with R_n keeps the rank-one term
-    E_s h h^H, which swamps R_n in float64 at large receive SNR, out of the
-    system.
-    """
-    return np.linalg.solve(r_n, snr * h[..., None])[..., 0]
+    return float(snr * np.abs(np.vdot(w, eq.h)) ** 2 / np.real(np.vdot(w, eq.r_n @ w)))
 
 
 def mmse_filter(eq: EquivalentChannel, snr: float) -> ReceiverFilter:
-    """MMSE combiner w = E_s R_n^{-1} h, the filter :func:`mmse_weights`
-    computes for a batch, a positive multiple of R_y^{-1} R_ys.
+    """MMSE combiner w = E_s R_n^{-1} h, a positive multiple of R_y^{-1} R_ys.
 
-    R_n = I + c r r^H is as ill-conditioned as the relay's noise gain c|r|^2.
-    Past about 1e16 float64 loses the identity beside c r r^H, and the stored
-    R_n turns singular or slightly indefinite.  So w is solved by least
-    squares on the unit-diagonal scaling D^{-1} R_n D^{-1}, D = sqrt(diag R_n),
-    which drops only the directions that rounding made singular.  Those carry
-    a negligible share of the noise, so the post-SNR is unaffected.
+    With R_y = E_s h h^H + R_n, the matrix inversion lemma gives
+    R_y^{-1} E_s h = w / (1 + E_s h^H R_n^{-1} h).  Solving with R_n keeps the
+    rank-one term E_s h h^H, which swamps R_n in float64 at large receive SNR,
+    out of the system.
+
+    R_n = diag(I, I + c r r^H) is as ill-conditioned as the relay's noise gain
+    c|r|^2.  Past about 1e16 float64 loses the identity beside c r r^H, and
+    the stored R_n turns singular or slightly indefinite.  So w is solved by
+    least squares on the unit-diagonal scaling D^{-1} R_n D^{-1},
+    D = sqrt(diag R_n), which drops only the directions that rounding made
+    singular.  Those carry a negligible share of the noise, so the post-SNR
+    is unaffected.
 
     Raises :class:`NumericalError` unless R_n is Hermitian, has a positive
     diagonal and is positive semidefinite up to rounding.
@@ -109,33 +95,62 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
     evaluated filters over random realizations of one (source, relay)
     antenna pair.
 
-    Returns (max_mmse_rel_err, max_mrc_rel_err).  The numerical route builds
-    the stacked channel and noise covariance explicitly, solves the MMSE
-    system with a batched linear solve, and evaluates E_s|w^H h|^2/(w^H R w);
-    it never touches the closed forms.  Under i.i.d. unit-gain Rayleigh links
-    the pair's columns h_sd,i (N_D), h_sr,i (N_R) and h_rd,k (N_D) are
-    independent CN(0, I) vectors, so each row block draws just these, in that
-    order, from the one generator of ``RngStream(seed, stream_index)``, and
-    memory does not grow with ``trials``.  n_s is only validated.
+    Returns (max_mmse_rel_err, max_mrc_rel_err).  The numerical route never
+    touches the closed forms.  It works on the two-slot model slot by slot:
+    the noise slots are independent and the direct one is white, so
+    R_n = diag(I, R_2), and only the relayed slot's R_2 = I + c r r^H (from
+    :func:`~relaysim.relaying.stacked_channel`) is built and solved
+    (:func:`_row_snrs`).  Under i.i.d. unit-gain Rayleigh links the pair's
+    columns h_sd,i (N_D), h_sr,i (N_R) and h_rd,k (N_D) are independent
+    CN(0, I) vectors, so each row block draws just these, in that order, from
+    the one generator of ``RngStream(seed, stream_index)``, and memory does
+    not grow with ``trials``.  The closed forms read their link gains from
+    the drawn blocks.  n_s is only validated.
     """
     SystemConfig(n_s, n_r, n_d, snr=snr)  # raises on bad sizes or snr
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     gen = RngStream(seed, stream_index).generator()
     sizes = (n_d, n_r, n_d)  # h_sd,i, h_sr,i, h_rd,k
-    devs = [_check_rows(*(sample_complex_gaussian(gen, b.stop - b.start, m) for m in sizes), snr)
+    devs = [_check_rows(*(sample_gaussian_blocks(gen, b.stop - b.start, m) for m in sizes), snr)
             for b in row_blocks(trials)]
     return tuple(max(col) for col in zip(*devs))
 
 
-def _check_rows(hsd_i, hsr_i, r_vec, snr: float) -> tuple[float, float]:
+def _check_rows(sd: GaussianBlocks, sr: GaussianBlocks, rd: GaussianBlocks,
+                snr: float) -> tuple[float, float]:
     """:func:`closed_form_check` over the (T, N_D), (T, N_R) and (T, N_D)
-    vectors of one row block."""
-    g = np.sum(np.abs(hsr_i) ** 2, axis=1)  # (T,)
-    h, r_n = stacked_channel(hsd_i, g, r_vec, snr)
+    draws of one row block."""
+    numerical, closed = _row_snrs(sd, sr, rd, snr)
+    return tuple(float(np.max(np.abs(x - cf) / cf)) for x, cf in zip(numerical, closed))
 
-    w_mmse = mmse_weights(h, r_n, snr)
-    gains = (snr * np.sum(np.abs(hsd_i) ** 2, axis=1), snr * g,
-             snr * np.sum(np.abs(r_vec) ** 2, axis=1))
-    return tuple(float(np.max(np.abs(filter_snr(w, h, r_n, snr) - cf) / cf))
-                 for w, cf in ((w_mmse, mmse_post_snr(*gains)), (h, mrc_post_snr(*gains))))
+
+def _row_snrs(sd: GaussianBlocks, sr: GaussianBlocks, rd: GaussianBlocks, snr: float):
+    """Per-trial post-SNRs of one row block: the numerical (MMSE, MRC) pair
+    and the closed-form (MMSE, MRC) pair.
+
+    The MMSE combiner w = E_s R_n^{-1} h has the direct half E_s h_sd,i and
+    the relayed half w_2 from one batched solve R_2 w_2 = E_s a r; the MRC
+    combiner is h.
+    """
+    g = re_inner(sr, sr)
+    h_1 = sd.values()
+    h, r_2 = stacked_channel(h_1, g, rd.values(), snr)
+    h_2 = h[:, h_1.shape[1]:]
+    w_2 = np.linalg.solve(r_2, snr * h_2[..., None])[..., 0]
+    numerical = (_slot_snr(snr * h_1, w_2, h_1, h_2, r_2, snr),
+                 _slot_snr(h_1, h_2, h_1, h_2, r_2, snr))
+    gains = (snr * re_inner(sd, sd), snr * g, snr * re_inner(rd, rd))
+    return numerical, (mmse_post_snr(*gains), mrc_post_snr(*gains))
+
+
+def _slot_snr(w_1, w_2, h_1, h_2, r_2, snr: float) -> np.ndarray:
+    """Batched E_s|w_1^H h_1 + w_2^H h_2|^2 / (|w_1|^2 + w_2^H R_2 w_2): the
+    output SNR of each filter w = (w_1, w_2) under the noise covariance
+    diag(I, R_2).  Invariant to rescaling of each w."""
+    def inner(x, y):
+        return np.einsum("ti,ti->t", x.conj(), y)
+
+    signal = snr * np.abs(inner(w_1, h_1) + inner(w_2, h_2)) ** 2
+    noise = np.real(inner(w_1, w_1) + inner(w_2, (r_2 @ w_2[..., None])[..., 0]))
+    return signal / noise

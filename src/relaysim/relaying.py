@@ -87,25 +87,35 @@ def relay_gain(g: float, snr: float) -> float:
 
 
 def stacked_channel(h_sd_i: np.ndarray, g, r_vec: np.ndarray, snr: float):
-    """Batched :class:`EquivalentChannel` model: h (T, 2N_D), R_n (T, 2N_D, 2N_D)
-    from the direct columns h_sd_i (T, N_D), first-hop powers g (T,) and
-    relayed path vectors r_vec (T, N_D)."""
+    """Batched :class:`EquivalentChannel` model from the direct columns h_sd_i
+    (T, N_D), first-hop powers g (T,) and relayed path vectors r_vec (T, N_D).
+
+    Returns h (T, 2N_D) and the relayed slot's noise covariance
+    R_2 = I + c r r^H (T, N_D, N_D).  The two noise slots are independent and
+    the direct slot's covariance is the identity, so R_n = diag(I, R_2).
+    """
     n_d = h_sd_i.shape[1]
     a, c, _ = af_constants(g, snr)
     h = np.concatenate([h_sd_i, a[:, None] * r_vec], axis=1)
-    r_n = np.broadcast_to(np.eye(2 * n_d, dtype=complex), (len(h), 2 * n_d, 2 * n_d)).copy()
-    r_n[:, n_d:, n_d:] += c[:, None, None] * np.einsum("ti,tj->tij", r_vec, r_vec.conj())
-    return h, r_n
+    r_2 = np.einsum("ti,tj->tij", r_vec, r_vec.conj())
+    r_2 *= c[:, None, None]
+    diag = np.arange(n_d)
+    r_2[:, diag, diag] += 1.0
+    return h, r_2
 
 
 def _equivalent(cfg: SystemConfig, ch: ChannelRealization, i: int, r_vec: np.ndarray,
                 relay_antenna: int | None) -> EquivalentChannel:
-    """The batch of one of :func:`stacked_channel` for source antenna i."""
+    """The batch of one of :func:`stacked_channel` for source antenna i, with
+    the full noise covariance R_n = diag(I, R_2)."""
     g = float(np.sum(np.abs(ch.h_sr[:, i]) ** 2))
     if g == 0:
         raise DegenerateInputError("zero source-relay channel for antenna %d" % i)
-    h, r_n = stacked_channel(ch.h_sd[None, :, i], [g], r_vec[None], cfg.snr)
-    return EquivalentChannel(h=h[0], r_n=r_n[0], source_antenna=i,
+    h, r_2 = stacked_channel(ch.h_sd[None, :, i], [g], r_vec[None], cfg.snr)
+    n_d = cfg.n_d
+    r_n = np.eye(2 * n_d, dtype=complex)
+    r_n[n_d:, n_d:] = r_2[0]
+    return EquivalentChannel(h=h[0], r_n=r_n, source_antenna=i,
                              relay_antenna=relay_antenna)
 
 

@@ -438,6 +438,18 @@ class TestOtherCommands:
         assert main(["snr-check", "--trials", "500", "--seed", "1"]) == 0
         assert "max_rel_dev_mmse" in capsys.readouterr().out
 
+    def test_snr_check_fails_on_a_wrong_closed_form(self, capsys, monkeypatch):
+        import relaysim.receiver
+        right = relaysim.receiver.mmse_post_snr
+        monkeypatch.setattr(relaysim.receiver, "mmse_post_snr",
+                            lambda *gains: right(*gains) * (1 + 1e-6))
+        assert main(["snr-check", "--trials", "500", "--seed", "1"]) == 1
+        out = capsys.readouterr().out.strip()
+        fields = dict(field.split("=") for field in out.split())
+        assert fields["tol"] == "1e-09"
+        assert float(fields["max_rel_dev_mmse"]) > 1e-9
+        assert float(fields["max_rel_dev_mrc"]) <= 1e-9
+
     def test_env_threads(self, tmp_path, monkeypatch):
         spec_path = tmp_path / "spec.json"
         write_spec(spec_path, trials=2000)

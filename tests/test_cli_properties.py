@@ -78,6 +78,10 @@ def specs(draw):
                "sweep": {"axis": "transmit-snr-db", "values": [0.0],
                          "lambda_rd": 4.779718510495437e+307},
                "trials": 1, "seed": 10000})  # once a LinAlgError in eigh
+@example(spec={"mode": "ber", "system": {"n_s": 2, "n_r": 4, "n_d": 1},
+               "strategies": ["optimal-relay-filter"],
+               "sweep": {"axis": "transmit-snr-db", "values": [0.0], "lambda_rd": 1e30},
+               "trials": 1, "seed": 10000})  # the top accepted gain, through the eigensolve
 def test_accepted_spec_runs_or_exits_2(spec):
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = os.path.join(tmp, "spec.json")

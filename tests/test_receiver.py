@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relaysim.channel import SystemConfig, draw_realization, link_snrs
+from relaysim.channel import ChannelRealization, SystemConfig, draw_realization, link_snrs
 from relaysim.errors import InvalidParameterError, NumericalError
-from relaysim.numerics import RngStream, sample_complex_gaussian
+from relaysim.numerics import RngStream, sample_complex_gaussian, sample_gaussian_blocks
 from relaysim.receiver import (
+    _row_snrs,
     closed_form_check,
     detect_bpsk,
     mmse_filter,
@@ -152,6 +153,25 @@ class TestClosedFormCheck:
             e_mmse, e_mrc = closed_form_check(2, 2, 2, snr, trials=2000, seed=7)
             assert e_mmse <= 1e-9
             assert e_mrc <= 1e-9
+
+    @pytest.mark.parametrize("snr", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("n_d", [1, 2, 3, 4])
+    def test_slot_solve_matches_full_covariance(self, n_d, snr):
+        # the check solves only the relayed slot's N_D x N_D system; the
+        # scalar filters on the full 2N_D covariance agree on the same draws
+        n_r, trials = 3, 50
+        gen = RngStream(62, n_d).generator()
+        sd, sr, rd = (sample_gaussian_blocks(gen, trials, m) for m in (n_d, n_r, n_d))
+        numerical, _ = _row_snrs(sd, sr, rd, snr)
+        cfg = SystemConfig(1, n_r, n_d, snr=snr)
+        for t in range(trials):
+            h_rd = np.zeros((n_d, n_r), complex)
+            h_rd[:, 1] = rd.values(t)
+            ch = ChannelRealization(h_sd=sd.values(t)[:, None], h_sr=sr.values(t)[:, None],
+                                    h_rd=h_rd)
+            eq = equivalent_channel(cfg, ch, 0, 1)
+            for oracle, snrs in zip((mmse_filter, mrc_filter), numerical):
+                assert snrs[t] == pytest.approx(oracle(eq, snr).numerical_post_snr, rel=1e-12)
 
     def test_allocation_budget(self):
         # the draw, the stacked channel, the solve and the filter SNRs all run
