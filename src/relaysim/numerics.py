@@ -1,5 +1,5 @@
-"""Reproducible random sampling and the dominant singular pair of complex
-matrices.
+"""Reproducible random sampling, the dominant singular pair of complex
+matrices, and trace bounds on its value.
 
 Channel matrices here are plain complex128 numpy arrays.  All routines are
 pure: they never mutate their inputs, and randomness always flows through an
@@ -151,3 +151,46 @@ def dominant_singular_pair_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     eigval, eigvec = np.linalg.eigh(np.einsum("bmi,bmj->bij", a.conj(), a))
     sigma = np.sqrt(np.maximum(eigval[:, -1], 0.0))
     return sigma, _fix_phase(eigvec[:, :, -1])
+
+
+def gram_top_eigenvalue_bounds(re: np.ndarray, im: np.ndarray,
+                               k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the largest eigenvalue of every Gram matrix H^H H, as
+    fractions of its trace.
+
+    ``re`` and ``im`` (B, m, n) are the real and imaginary parts of H, at any
+    common scale, and ``k`` (B,) is a column index per item, of a nonzero
+    column of H (the kernels pass the strongest).  With
+    N = H^H H / tr(H^H H), whose eigenvalues lie in [0, 1], returns
+    (low, high) per item: the Rayleigh quotient of N at N^2 e_k, and
+    (tr N^4)^(1/4) = ||N^2||_F^(1/2).  In exact arithmetic
+    low <= lambda_max(N) <= high, with equality when N has rank one; the
+    closer e_k is to the top eigenvector, the tighter low (Wolkowicz &
+    Styan, Linear Algebra Appl. 29, 1980).
+
+    Everything runs in real arithmetic with batched matmul on the real and
+    imaginary parts of N = a + ib (a symmetric, b antisymmetric) and of
+    N^2 = p + iq.  Dividing by the trace first keeps every entry of N and
+    N^2 in [-1, 1], whatever the scale of H.
+    """
+    # matmul on contiguous operands; a transposed view takes a slower path
+    re_t, im_t = (np.ascontiguousarray(x.transpose(0, 2, 1)) for x in (re, im))
+    a = re_t @ re
+    a += im_t @ im
+    b = re_t @ im
+    b -= b.transpose(0, 2, 1)  # im^T re = (re^T im)^T
+    del re_t, im_t  # freed before N^2: a chunk's transient peak stays near the eigensolve's
+    trace = np.einsum("bii->b", a)[:, None, None]
+    a /= trace
+    b /= trace
+    p = a @ a
+    p -= b @ b
+    q = a @ b
+    q -= q.transpose(0, 2, 1)  # b a = -(a b)^T
+    high = np.sqrt(np.sqrt(np.einsum("bij,bij->b", p, p) + np.einsum("bij,bij->b", q, q)))
+    rows = np.arange(len(k))
+    u, v = p[rows, :, k][:, :, None], q[rows, :, k][:, :, None]  # N^2 e_k = u + iv
+    # Re((u + iv)^H N (u + iv)) / |u + iv|^2
+    low = (np.sum(u * (a @ u - b @ v) + v * (a @ v + b @ u), axis=(1, 2))
+           / np.sum(u * u + v * v, axis=(1, 2)))
+    return low, high

@@ -43,7 +43,13 @@ from relaysim.montecarlo import (
     sweep_workers,
     wilson_interval,
 )
-from relaysim.numerics import ROW_BLOCK, RngStream, sample_complex_gaussian
+from relaysim.numerics import (
+    ROW_BLOCK,
+    RngStream,
+    dominant_singular_pair_batch,
+    gram_top_eigenvalue_bounds,
+    sample_complex_gaussian,
+)
 from relaysim.receiver import detect_bpsk, mmse_filter, mrc_filter
 from relaysim.relaying import (
     equivalent_channel,
@@ -539,7 +545,9 @@ def test_fixed_seed_counts(dims, strategy):
 
 # Optimal-relay-filter outage counts at 4x4x4, -9 and -7.5 dB, gamma0 = 1 (seed
 # 2026, 2 * CHUNK + 500 trials per point), recorded while every trial still ran
-# the eigensolve.  Here 10-21% of the trials fall between the beam's bounds.
+# the eigensolve.  Here 10-21% of the trials fall between the beam's first
+# bounds (antenna selection and the trace), and 0.4-0.8% between its second
+# (the trace-scaled Gram bounds), which leaves them to the eigensolve.
 GOLDEN_ORF_4X4X4 = [18027, 2286]
 
 
@@ -582,6 +590,16 @@ def test_fixed_seed_counts_relay_filter_4x4x4(monkeypatch):
     assert 0 < sum(solved) < 0.25 * 2 * trials
 
 
+def test_relay_filter_4x4x4_eigensolves_under_2_percent(monkeypatch):
+    # at the points of test_fixed_seed_counts_relay_filter_4x4x4 the first
+    # bracket alone sent 21.7% and 9.3% of the trials to the eigensolve
+    solved = svd_batch_sizes(monkeypatch)
+    trials = 2 * CHUNK + 500
+    run_outage(SystemConfig(4, 4, 4), "optimal-relay-filter", 1.0, [-9.0, -7.5], trials,
+               seed=2026)
+    assert 0 < sum(solved) < 0.02 * 2 * trials
+
+
 def orf_gammas(cfg, stream, n):
     """On one chunk's draws: the optimal-relay-filter post-SNR of every trial
     through the full rule, and its antenna-selection and total-power bounds."""
@@ -591,6 +609,25 @@ def orf_gammas(cfg, stream, n):
     low = select(cfg, "mmse-receiver", *gains, None)[3]
     high = np.max(gains[0] + gamma_srd(gains[1], gains[2].sum(axis=1, keepdims=True)), axis=1)
     return gamma, low, high
+
+
+def post_snr(gains, power):
+    """The optimal-relay-filter post-SNR of every trial at a given beam power."""
+    g_sd, g_sr, _ = gains
+    return np.max(g_sd + gamma_srd(g_sr, power[:, None]), axis=1)
+
+
+def orf_stage_2(cfg, stream, n):
+    """On one chunk's draws: the gains, the beam power snr*sigma^2 of every
+    trial from the eigensolve, and the second bracket's bounds on it, the
+    trace sum_k g_rd times :func:`gram_top_eigenvalue_bounds` at the best
+    relay antenna."""
+    sd, sr, rd = draw_links(stream.generator(), n, cfg)
+    gains = _gains(cfg, sd, sr, rd)
+    sigma, _ = dominant_singular_pair_batch(rd.values())
+    low, high = gram_top_eigenvalue_bounds(rd.re, rd.im, np.argmax(gains[2], axis=1))
+    trace = gains[2].sum(axis=1)
+    return gains, cfg.snr * sigma * sigma, trace * low, trace * high
 
 
 levels = st.sampled_from([1e-30, 1e-12, 0.05, 1.0, 20.0, 1e12, 1e30]) | st.floats(1e-30, 1e30)
@@ -608,6 +645,41 @@ def test_relay_filter_outage_bounds_keep_the_count(dims, lambdas, n, seed, data)
     edges = [x * f for x in np.concatenate([gamma, low, high])
              for f in (1.0, 1 - 2e-9, 1 - 1e-9, 1 + 1e-9, 1 + 2e-9, 1 / (1 - 1e-9), 1 / (1 + 1e-9))]
     gamma0 = data.draw(st.sampled_from(edges) | st.floats(1e-300, 1e300))
+    assert _outage_chunk(cfg, "optimal-relay-filter", gamma0, stream, n) == \
+        np.count_nonzero(gamma < gamma0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.sampled_from([(1, 1, 1), (3, 1, 2), (2, 4, 1), (4, 4, 4)])
+       | st.tuples(*[st.integers(1, 4)] * 3),
+       lambdas=st.tuples(*[levels] * 4), n=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_stage_2_bounds_bracket_the_beam_power(dims, lambdas, n, seed):
+    cfg = SystemConfig(*dims, *lambdas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, power, low, high = orf_stage_2(cfg, RngStream(seed, 3), n)
+    rounding = 1e-13  # the bounds and the eigensolve each round to a few ulps
+    assert np.all(low <= power * (1 + rounding)) and np.all(power <= high * (1 + rounding))
+    if cfg.n_r == 1 or cfg.n_d == 1:
+        # one relay antenna (both bounds are its column's gain) or a rank-one
+        # H_RD (N^2 = N): the bounds meet at the beam's power
+        np.testing.assert_allclose(low, power, rtol=rounding, atol=0)
+        np.testing.assert_allclose(high, power, rtol=rounding, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3), lambdas=st.tuples(*[levels] * 4),
+       n=st.integers(1, 40), seed=st.integers(0, 2**32), data=st.data())
+def test_relay_filter_outage_stage_2_bounds_keep_the_count(dims, lambdas, n, seed, data):
+    cfg = SystemConfig(*dims, *lambdas)
+    stream = RngStream(seed, 3)
+    gamma, _, _ = orf_gammas(cfg, stream, n)
+    gains, _, low, high = orf_stage_2(cfg, stream, n)
+    # thresholds on and around the post-SNR at a trial's second bounds, where
+    # the margin decides
+    edges = [x * f for x in np.concatenate([post_snr(gains, low), post_snr(gains, high)])
+             for f in (1.0, 1 - 2e-9, 1 - 1e-9, 1 + 1e-9, 1 + 2e-9, 1 / (1 - 1e-9), 1 / (1 + 1e-9))]
+    gamma0 = data.draw(st.sampled_from(edges))
     assert _outage_chunk(cfg, "optimal-relay-filter", gamma0, stream, n) == \
         np.count_nonzero(gamma < gamma0)
 
@@ -640,17 +712,27 @@ def test_relay_filter_outage_without_eigensolve(monkeypatch, dims, gamma0):
 @pytest.mark.parametrize("dims", [(4, 4, 4), (1, 4, 4), (2, 4, 3)])
 def test_relay_filter_outage_every_trial_undecided(monkeypatch, dims):
     # a negligible direct link and a strong first hop make the post-SNR
-    # nearly the beam's own power, so a threshold between the largest lower
-    # bound and the smallest upper bound falls inside every trial's bounds
+    # nearly the beam's own power.  A threshold at a trial's own post-SNR
+    # falls inside both of its brackets, so that trial reaches the
+    # eigensolve; the trial is picked so that every other trial's second
+    # bracket lies clear of it, which leaves it the only one
     cfg = SystemConfig(*dims, lambda_sd=1e-30, lambda_sr=1e30)
     gamma, low, high = orf_gammas(cfg, RngStream(5, 0), 8)
     assert low.max() < high.min()
-    gamma0 = np.sqrt(low.max() * high.min())
+    gains, _, low_2, high_2 = orf_stage_2(cfg, RngStream(5, 0), 8)
+    post_low, post_high = post_snr(gains, low_2), post_snr(gains, high_2)
+
+    def alone(t) -> bool:
+        others = np.arange(8) != t
+        return bool(np.all((post_high[others] < gamma[t] * (1 - 1e-6))
+                           | (post_low[others] > gamma[t] * (1 + 1e-6))))
+
+    gamma0 = gamma[next(t for t in np.argsort(gamma)[1:] if alone(t))]
     assert 0 < np.count_nonzero(gamma < gamma0) < 8
     solved = svd_batch_sizes(monkeypatch)
     assert _outage_chunk(cfg, "optimal-relay-filter", gamma0, RngStream(5, 0), 8) == \
         np.count_nonzero(gamma < gamma0)
-    assert solved == [8]
+    assert solved == [1]
 
 
 def scalar_ber_errors(cfg, strategy, stream, n):
