@@ -10,13 +10,15 @@ arrays remain only for the ``optimal-relay-filter`` relay beam.
 
 Both kernels draw their chunk by :func:`_chunk_layout`, the one definition
 of a chunk's layout, into their worker thread's workspace, which lives as
-long as the thread.  The BER kernel keeps every drawn block
-(:func:`_draw_chunk`); the outage kernel reduces each block to its gains as
-soon as it is drawn, so it holds one link buffer and the gains.  Everything
-after that runs on blocks of :data:`~relaysim.numerics.ROW_BLOCK` rows.  So
-each chunk reuses the same memory, and the allocator keeps its small
-temporaries instead of returning them to the kernel.  Kernels return only
-counts; no view of the workspace leaves a chunk.
+long as the thread and never shrinks.  The BER kernel keeps every drawn
+block (:func:`_draw_chunk`); the outage kernel draws each half of a link one
+row block at a time and reduces it at once to its gains, so it holds the
+gains and a row block (and, under ``optimal-relay-filter``, h_rd's real
+half).  Everything after the draw runs on blocks of
+:data:`~relaysim.numerics.ROW_BLOCK` rows.  So each chunk reuses the same
+memory, and the allocator keeps its small temporaries instead of returning
+them to the kernel.  Kernels return only counts; no view of the workspace
+leaves a chunk.
 
 Trials are processed in fixed-size chunks; chunk c of sweep point p draws all
 its randomness from the Philox substream (seed, p * 2^32 + c), to MAX_TRIALS
@@ -181,11 +183,19 @@ def _chunk_layout(cfg: SystemConfig, ber: bool) -> list:
 
 
 def _workspace(sizes: list[int]) -> list[np.ndarray]:
-    """This thread's workspace: one flat float64 array per entry of sizes,
-    kept while the thread asks for the same sizes and replaced when not."""
+    """This thread's workspace: flat float64 arrays, entry j at least
+    sizes[j] long.  An entry that is too short is replaced and a missing one
+    added; every other array is kept, also when a call needs less than it
+    holds, so a thread's workspace never shrinks and is not reallocated
+    while its calls fit."""
     held = getattr(_WORKSPACE, "arrays", None)
-    if held is None or [a.size for a in held] != sizes:
-        held = _WORKSPACE.arrays = [np.empty(size) for size in sizes]
+    if held is None:
+        held = _WORKSPACE.arrays = []
+    for j, size in enumerate(sizes):
+        if j == len(held):
+            held.append(np.empty(size))
+        elif held[j].size < size:
+            held[j] = np.empty(size)
     return held
 
 
@@ -215,44 +225,49 @@ def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
                   stream: RngStream, n: int) -> int:
     """Count the trials whose selected post-SNR falls below gamma0.
 
-    The draws are those of ``_draw_chunk(cfg, stream, n, ber=False)``, but
-    each block lands in one buffer sized for the largest link and is reduced
-    at once to its per-antenna sums over the receive axis, the arithmetic of
-    :func:`_gains`.  Only ``optimal-relay-filter`` keeps h_rd's two blocks,
-    in a second buffer: the trials its first bracket leaves undecided (10-22%
-    on 4x4x4 chunks near the benchmark's SNRs) read them for the second, and
-    those the second leaves too (under 1%) for the eigensolve.  Selection and
-    counting then run one row block at a time (:func:`_outage_rows`).
+    The variates are those of ``_draw_chunk(cfg, stream, n, ber=False)``:
+    the same six halves in the same order, but each half is drawn one row
+    block at a time into a :data:`~relaysim.numerics.ROW_BLOCK`-row buffer
+    and reduced at once into its rows of the gains, the per-antenna sums over
+    the receive axis of :func:`_gains`.  h_rd's imaginary half is the last
+    draw, so each of its row blocks completes its rows of g_rd and is counted
+    at once by :func:`_outage_rows`.  Only ``optimal-relay-filter`` keeps a
+    chunk-sized block, h_rd's real half, which its brackets and eigensolve
+    read beside the imaginary row block.
     """
     links = _chunk_layout(cfg, ber=False)
-    n_halves = 2 if strategy == "optimal-relay-filter" else 1
+    relay_filter = strategy == "optimal-relay-filter"
     rows = max(n, CHUNK)
-    arrays = _workspace([rows * max(rx * tx for _, rx, tx in links)] * n_halves
-                        + [rows * tx for *_, tx in links]
-                        + [ROW_BLOCK * max(tx for *_, tx in links)])
-    halves, scratch = arrays[:n_halves], arrays[-1]
-    gains = [_view(g, n, tx) for g, (*_, tx) in zip(arrays[n_halves:], links)]
+    arrays = _workspace([rows * tx for *_, tx in links]
+                        + [ROW_BLOCK * max(rx * tx for _, rx, tx in links),
+                           ROW_BLOCK * max(tx for *_, tx in links)]
+                        + ([rows * cfg.n_d * cfg.n_r] if relay_filter else []))
+    gains = [_view(g, n, tx) for g, (*_, tx) in zip(arrays, links)]
+    block, scratch = arrays[3:5]
+    rd_re = _view(arrays[5], n, cfg.n_d, cfg.n_r) if relay_filter else None
     gen = stream.generator()
+    count = 0
     for (variance, rx, tx), g in zip(links, gains):
-        re, im = _view(halves[0], n, rx, tx), _view(halves[-1], n, rx, tx)
-        np.einsum(_RX_SUM, gen.standard_normal((n, rx, tx), out=re), re, out=g)
-        gen.standard_normal((n, rx, tx), out=im)
-        # the imaginary sums pass through a row block of scratch, so no
-        # second chunk-sized array is held
-        for b in row_blocks(n):
-            g[b] += np.einsum(_RX_SUM, im[b], im[b], out=_view(scratch, b.stop - b.start, tx))
-        g *= cfg.snr * gaussian_scale(variance) ** 2
-    # the loop ends on h_rd, whose blocks the relay filter's brackets read
-    rd = GaussianBlocks(gaussian_scale(links[-1][0]), re, im) if n_halves == 2 else None
-    return sum(_outage_rows(cfg, strategy, gamma0, *(g[b] for g in gains),
-                            None if rd is None else rd.rows(b))
-               for b in row_blocks(n))
+        on_rd = g is gains[-1]
+        for b in row_blocks(n):  # the real half
+            re = rd_re[b] if on_rd and relay_filter else _view(block, b.stop - b.start, rx, tx)
+            np.einsum(_RX_SUM, gen.standard_normal(re.shape, out=re), re, out=g[b])
+        for b in row_blocks(n):  # the imaginary half
+            m = b.stop - b.start
+            im = gen.standard_normal((m, rx, tx), out=_view(block, m, rx, tx))
+            g[b] += np.einsum(_RX_SUM, im, im, out=_view(scratch, m, tx))
+            g[b] *= cfg.snr * gaussian_scale(variance) ** 2
+            if on_rd:
+                rd = GaussianBlocks(gaussian_scale(variance), rd_re[b], im) if relay_filter else None
+                count += _outage_rows(cfg, strategy, gamma0, *(x[b] for x in gains), rd)
+    return count
 
 
 def _outage_rows(cfg: SystemConfig, strategy: str, gamma0: float, g_sd: np.ndarray,
                  g_sr: np.ndarray, g_rd: np.ndarray, rd: GaussianBlocks | None) -> int:
     """The outage count of the trials of one row block, from their gains (and
-    under ``optimal-relay-filter`` their h_rd blocks).
+    under ``optimal-relay-filter`` their h_rd blocks: the real half's rows of
+    the chunk and the imaginary row block just drawn).
 
     Under ``optimal-relay-filter`` the post-SNR grows with the beam's power
     snr*sigma^2, the top eigenvalue of snr*H_RD^H H_RD, whose trace is the

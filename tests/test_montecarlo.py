@@ -851,19 +851,29 @@ class RecordingGenerator:
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (4, 1, 3)])
 def test_outage_chunk_draws_like_draw_chunk(monkeypatch, dims, strategy):
-    # the outage kernel reduces each block as it is drawn, but its generator
-    # calls (method, shape, order, variates) are _draw_chunk's for outage
+    # the outage kernel draws each half of _draw_chunk's outage layout one
+    # row block at a time: every call is standard_normal for at most
+    # ROW_BLOCK rows of one half, the halves come in layout order, and each
+    # half's calls together give exactly that half's variates
+    n = 2 * ROW_BLOCK + 77
     calls = []
     real = RngStream.generator
     monkeypatch.setattr(RngStream, "generator", lambda s: RecordingGenerator(real(s), calls))
     cfg = SystemConfig(*dims, lambda_sd=0.5, lambda_rd=2.0, snr=0.3)
-    _draw_chunk(cfg, RngStream(21, 6), ROW_BLOCK + 77, ber=False)
+    _draw_chunk(cfg, RngStream(21, 6), n, ber=False)
     expected, calls[:] = calls[:], []
-    _outage_chunk(cfg, strategy, 1.0, RngStream(21, 6), ROW_BLOCK + 77)
-    assert [c[:3] for c in calls] == [c[:3] for c in expected]
-    assert len(calls) == 6 and {c[0] for c in calls} == {"standard_normal"}
-    for got, want in zip(calls, expected):
-        np.testing.assert_array_equal(got[3], want[3])
+    _outage_chunk(cfg, strategy, 1.0, RngStream(21, 6), n)
+    assert len(expected) == 6 and {c[0] for c in expected + calls} == {"standard_normal"}
+    got = iter(calls)
+    for _, ((_, *trial_shape),), _, want in expected:
+        parts = []
+        while sum(len(p) for p in parts) < n:
+            _, (shape,), kwargs, values = next(got)
+            assert kwargs == ["out"] and 1 <= shape[0] <= ROW_BLOCK
+            assert list(shape[1:]) == trial_shape
+            parts.append(values)
+        np.testing.assert_array_equal(np.concatenate(parts), want)
+    assert next(got, None) is None
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -932,7 +942,7 @@ def kernel_call(kernel, dims, strategy, snr_db, stream, n):
 @pytest.mark.parametrize("kernel, dims, strategy, snr_db", KERNEL_CASES)
 def test_chunk_allocation_budget(kernel, dims, strategy, snr_db):
     # the draws reuse the thread's workspace and the rest runs on row blocks,
-    # so a full chunk allocates under 3 MB beside its workspace (2.3-5.6 MiB
+    # so a full chunk allocates under 3 MB beside its workspace (1.5-4.1 MiB
     # for outage, 9 MiB for BER at 3x3x3)
     call = kernel_call(kernel, dims, strategy, snr_db, RngStream(12, 3), CHUNK)
     assert traced_peak_bytes(call) < 3 * 2**20
@@ -955,9 +965,9 @@ def test_outage_workspace_under_half_a_chunk_of_links(dims, strategy, snr_db):
     # an outage chunk reduces each link to its gains as it is drawn, so its
     # thread keeps less than half the float64 of the chunk's links (2 per
     # antenna pair and trial) once the chunk is done.  optimal-relay-filter
-    # also keeps h_rd's two blocks: 2*n_d*n_r + 2*n_s + n_r per trial, under
-    # half from 4x4x4 on.  The first call runs on another thread, so the
-    # process's one-time allocations are not counted
+    # also keeps h_rd's real half: n_d*n_r + 2*n_s + n_r per trial and two
+    # row blocks, under half from 4x4x4 on.  The first call runs on another
+    # thread, so the process's one-time allocations are not counted
     call = kernel_call("outage", dims, strategy, snr_db, RngStream(12, 3), CHUNK)
     run_on_fresh_thread([call])
     left, _ = run_on_fresh_thread([lambda: traced_bytes(call)])[0]
@@ -965,13 +975,52 @@ def test_outage_workspace_under_half_a_chunk_of_links(dims, strategy, snr_db):
     assert left < CHUNK * (n_d * n_s + n_r * n_s + n_d * n_r) * 8
 
 
+@pytest.mark.parametrize("dims, strategy", [
+    *(((3, 3, 3), s) for s in ("mmse-receiver", "optimal-relay-filter")),
+    *(((4, 4, 4), s) for s in ("mmse-receiver", "optimal-relay-filter")),
+    ((2, 5, 3), "mrc-receiver"), ((2, 5, 3), "optimal-relay-filter")])
+def test_outage_worker_keeps_gains_and_row_blocks(dims, strategy):
+    # each half is drawn and reduced one row block at a time, so a worker
+    # keeps the gains (2*n_s + n_r per trial), one row block of the largest
+    # link and a row block of per-antenna sums; optimal-relay-filter also
+    # keeps h_rd's real half (n_d*n_r per trial).  The 16 KiB of slack
+    # (2-4 KiB used) covers the workspace's list and array objects
+    call = kernel_call("outage", dims, strategy, -4.5, RngStream(12, 3), CHUNK)
+    run_on_fresh_thread([call])
+    left, _ = run_on_fresh_thread([lambda: traced_bytes(call)])[0]
+    n_s, n_r, n_d = dims
+    budget = 8 * (CHUNK * (2 * n_s + n_r)
+                  + ROW_BLOCK * (max(n_d * n_s, n_r * n_s, n_d * n_r) + max(n_s, n_r)))
+    if strategy == "optimal-relay-filter":
+        budget += 8 * CHUNK * n_d * n_r
+    assert left <= budget + 2**14
+
+
+def test_outage_workspace_kept_when_a_call_needs_less():
+    # a thread that moves from optimal-relay-filter rows to mmse-receiver
+    # rows on the same dims keeps its workspace: the same list of the same
+    # arrays, none freed and none allocated
+    def held():
+        arrays = relaysim.montecarlo._WORKSPACE.arrays
+        return arrays, list(arrays)
+
+    orf, mmse = (kernel_call("outage", (4, 4, 4), strategy, -7.5, RngStream(12, c), CHUNK)
+                 for c, strategy in enumerate(["optimal-relay-filter", "mmse-receiver"]))
+    _, (before, before_items), count, (after, after_items) = run_on_fresh_thread(
+        [orf, held, mmse, held])
+    assert after is before and len(after_items) == len(before_items)
+    assert all(a is b for a, b in zip(after_items, before_items))
+    assert count == run_on_fresh_thread([mmse])[0]
+
+
 def test_reused_workspace_matches_fresh_threads():
     # one thread runs every kernel on one workspace: per mode and dims, a
     # shrinking and growing trial count (a stale row past n would show), then
     # the next dims in the same mode, then both modes in turn on each dims (a
     # workspace of the wrong shapes would show), then outage with and without
-    # the h_rd blocks optimal-relay-filter keeps, BER between them, on the
-    # same dims; counts must equal a fresh thread's
+    # the h_rd real half optimal-relay-filter keeps, BER between them, on the
+    # same dims (the workspace never shrinks, so later calls read arrays
+    # larger than they need); counts must equal a fresh thread's
     dims = [(1, 1, 1), (2, 3, 4), (4, 4, 4)]
     cases = [*itertools.product(["outage", "ber"], dims, [CHUNK, 77, CHUNK, 5000]),
              *((kernel, d, 5000) for d in dims for kernel in ("outage", "ber"))]
