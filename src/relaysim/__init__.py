@@ -6,7 +6,6 @@ from .channel import (
     LinkSnrs,
     SystemConfig,
     config_from_mean_snrs_db,
-    draw_realization,
     link_snrs,
 )
 from .errors import (
@@ -55,5 +54,6 @@ from .selection import (
     select_relay_antenna,
     select_source_antenna,
 )
+from .stream import draw_realization
 
 __version__ = "0.2.0"

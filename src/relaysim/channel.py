@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-from .numerics import RngStream, sample_gaussian_blocks
 
 
 @dataclass(frozen=True)
@@ -67,28 +66,6 @@ class LinkSnrs:
     gamma_sd: np.ndarray  # (N_S,)
     gamma_sr: np.ndarray  # (N_S,)
     gamma_rd: np.ndarray  # (N_R,)
-
-
-def draw_links(gen: np.random.Generator, n: int, cfg: SystemConfig):
-    """Draw n independent Rayleigh blocks in the fixed order h_sd, h_sr, h_rd,
-    each link's real block before its imaginary block.  Returns each link as
-    :class:`~relaysim.numerics.GaussianBlocks` of shape (n, N_rx, N_tx), so a
-    caller builds complex values only for the entries it reads."""
-    return (sample_gaussian_blocks(gen, n, cfg.n_d, cfg.n_s, variance=cfg.lambda_sd),
-            sample_gaussian_blocks(gen, n, cfg.n_r, cfg.n_s, variance=cfg.lambda_sr),
-            sample_gaussian_blocks(gen, n, cfg.n_d, cfg.n_r, variance=cfg.lambda_rd))
-
-
-def draw_channels(gen: np.random.Generator, n: int, cfg: SystemConfig):
-    """The link matrices of :func:`draw_links`: a batch (n, N_rx, N_tx) each of
-    h_sd, h_sr, h_rd."""
-    return tuple(link.values() for link in draw_links(gen, n, cfg))
-
-
-def draw_realization(cfg: SystemConfig, rng: RngStream) -> ChannelRealization:
-    """Draw one independent Rayleigh block for all three links (a batch of
-    one of :func:`draw_channels`)."""
-    return ChannelRealization(*(h[0] for h in draw_channels(rng.generator(), 1, cfg)))
 
 
 def link_snrs(cfg: SystemConfig, ch: ChannelRealization) -> LinkSnrs:

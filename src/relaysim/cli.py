@@ -3,8 +3,8 @@
 Subcommands: ber, outage, diversity, snr-check, protocol, validate.
 The CSV schema is fixed: snr_db,strategy,trials,errors,value,ci_low,ci_high
 (value is BER or outage probability).  A JSON manifest echoing the spec,
-seed, requested threads, sweep workers, wall time, and package version is
-written next to the CSV.
+seed, requested threads, sweep workers, wall time, package version, stream
+format and numpy version is written next to the CSV.
 """
 
 from __future__ import annotations
@@ -22,20 +22,16 @@ import tempfile
 import time
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import __version__
 from .channel import SystemConfig, config_from_mean_snrs_db
 from .errors import InsufficientStatisticsError, InvalidParameterError
-from .montecarlo import (
-    CHUNK,
-    MAX_TRIALS,
-    fit_diversity,
-    run_ber_points,
-    run_outage_points,
-    sweep_workers,
-)
+from .montecarlo import fit_diversity, run_ber_points, run_outage_points, sweep_workers
 from .protocol import feedback_budget
 from .receiver import closed_form_check
 from .selection import STRATEGIES
+from .stream import CHUNK, MAX_TRIALS, STREAM_FORMAT
 
 EXIT_OK = 0
 EXIT_BAD_SPEC = 2
@@ -45,8 +41,8 @@ EXIT_UNWRITABLE = 3
 # one chunk's draws resident for the whole sweep: a real and an imaginary
 # float64 per antenna pair and trial, so 1024 pairs hold 256 MiB per worker,
 # and the noise, 2*(n_r + 2*n_d) float64 per trial, adds at most as much
-# again.  An outage worker keeps one buffer of the largest link (two under
-# optimal-relay-filter) and the gains, which is less.
+# again.  An outage worker keeps the gains and a row block (plus h_rd's
+# real half under optimal-relay-filter), which is less.
 MAX_ANTENNA_PAIRS = 1024
 
 _MODES = ("ber", "outage", "diversity")
@@ -314,6 +310,7 @@ def _run_experiment(args, mode: str) -> int:
     manifest = {"spec": spec, "seed": seed, "trials": trials, "threads": threads,
                 "workers": sweep_workers(threads, len(spec["strategies"]) * len(points), trials),
                 "wall_time_s": round(wall, 3), "version": __version__,
+                "stream_format": STREAM_FORMAT, "numpy": np.__version__,
                 "csv": os.path.basename(out_path)}
     if fits:
         manifest["diversity_fits"] = fits

@@ -8,22 +8,19 @@ Re(w^H y), so the chain computes that statistic with real inner products on
 the drawn real and imaginary blocks of the links and the noise; complex
 arrays remain only for the ``optimal-relay-filter`` relay beam.
 
-Both kernels draw their chunk by :func:`_chunk_layout`, the one definition
-of a chunk's layout, into their worker thread's workspace, which lives as
-long as the thread and never shrinks.  The BER kernel keeps every drawn
-block (:func:`_draw_chunk`); the outage kernel draws each half of a link one
-row block at a time and reduces it at once to its gains, so it holds the
-gains and a row block (and, under ``optimal-relay-filter``, h_rd's real
-half).  Everything after the draw runs on blocks of
+Both kernels draw their chunk of trials, whose substream and draws
+:mod:`~relaysim.stream` defines, into their worker thread's workspace, which
+lives as long as the thread and never shrinks.  The BER kernel keeps every
+drawn block (:func:`_draw_chunk`); the outage kernel draws each half of a
+link one row block at a time and reduces it at once to its gains, so it
+holds the gains and a row block (and, under ``optimal-relay-filter``, h_rd's
+real half).  Everything after the draw runs on blocks of
 :data:`~relaysim.numerics.ROW_BLOCK` rows.  So each chunk reuses the same
 memory, and the allocator keeps its small temporaries instead of returning
 them to the kernel.  Kernels return only counts; no view of the workspace
-leaves a chunk.
-
-Trials are processed in fixed-size chunks; chunk c of sweep point p draws all
-its randomness from the Philox substream (seed, p * 2^32 + c), to MAX_TRIALS
-per point.  Chunk boundaries never depend on the worker count, and counts are
-summed in chunk order, so results are bit-identical for any number of threads.
+leaves a chunk.  Chunk boundaries never depend on the worker count, and
+counts are summed in chunk order, so results are bit-identical for any
+number of threads.
 """
 
 from __future__ import annotations
@@ -41,14 +38,11 @@ import numpy as np
 from .channel import SystemConfig
 from .errors import InsufficientStatisticsError, InvalidParameterError
 from .numerics import (ROW_BLOCK, GaussianBlocks, RngStream, dominant_singular_pair_batch,
-                       gaussian_scale, gram_top_eigenvalue_bounds, re_inner, row_blocks,
-                       sample_gaussian_blocks)
+                       gaussian_scale, gram_top_eigenvalue_bounds, re_inner, row_blocks)
 from .relaying import af_constants
 from .selection import STRATEGIES, gamma_srd, mrc_post_snr
+from .stream import CHUNK, MAX_TRIALS, chunk_stream, draw, layout
 
-CHUNK = 1 << 14
-_POINT_STRIDE = 1 << 32  # substream indices per sweep point
-MAX_TRIALS = CHUNK * _POINT_STRIDE  # per point; more would read the next point's substreams
 # Relative margin around gamma0 inside which an optimal-relay-filter outage
 # trial is left to the eigensolve: about 1e6 times the rounding of the bounds.
 _BRACKET_MARGIN = 1e-9
@@ -170,18 +164,6 @@ def select(cfg: SystemConfig, strategy: str, g_sd, g_sr, g_rd, h_rd):
     return i, k, v, per_i[rows, i]
 
 
-def _chunk_layout(cfg: SystemConfig, ber: bool) -> list:
-    """The one definition of a chunk's layout: its draws in stream order,
-    each (variance, *shape per trial) of a Gaussian block or None for the
-    bits.  h_sd, h_sr, h_rd (N_rx, N_tx), then for BER the bits, the relay
-    noise (N_R) and the two destination noise slots (N_D)."""
-    blocks = [(cfg.lambda_sd, cfg.n_d, cfg.n_s), (cfg.lambda_sr, cfg.n_r, cfg.n_s),
-              (cfg.lambda_rd, cfg.n_d, cfg.n_r)]
-    if ber:
-        blocks += [None, (1.0, cfg.n_r), (1.0, cfg.n_d), (1.0, cfg.n_d)]
-    return blocks
-
-
 def _workspace(sizes: list[int]) -> list[np.ndarray]:
     """This thread's workspace: flat float64 arrays, entry j at least
     sizes[j] long.  An entry that is too short is replaced and a missing one
@@ -206,19 +188,14 @@ def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def _draw_chunk(cfg: SystemConfig, stream: RngStream, n: int, ber: bool) -> list:
-    """Draw one chunk of n trials, laid out by :func:`_chunk_layout`, into
-    this thread's workspace: the bits as an array, each Gaussian block as
-    :class:`GaussianBlocks` views of an (re, im) float64 pair of the
-    workspace.  Only the BER kernel keeps a whole chunk's draws resident."""
-    blocks = _chunk_layout(cfg, ber)
+    """:func:`~relaysim.stream.draw` of one chunk of n trials into this
+    thread's workspace, each Gaussian block into views of an (re, im) float64
+    pair of it.  Only the BER kernel keeps a whole chunk's draws resident."""
+    shapes = [block[1:] for block in layout(cfg, ber) if block]
     rows = max(n, CHUNK)
-    halves = iter(_workspace([rows * math.prod(block[1:]) for block in blocks if block
-                              for _ in ("re", "im")]))
-    gen = stream.generator()
-    return [gen.integers(0, 2, n) if block is None else
-            sample_gaussian_blocks(gen, n, *block[1:], variance=block[0],
-                                   out=[_view(next(halves), n, *block[1:]) for _ in ("re", "im")])
-            for block in blocks]
+    halves = iter(_workspace([rows * math.prod(shape) for shape in shapes for _ in "ri"]))
+    return draw(cfg, stream.generator(), n, ber,
+                out=[[_view(next(halves), n, *shape) for _ in "ri"] for shape in shapes])
 
 
 def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
@@ -235,7 +212,7 @@ def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
     chunk-sized block, h_rd's real half, which its brackets and eigensolve
     read beside the imaginary row block.
     """
-    links = _chunk_layout(cfg, ber=False)
+    links = layout(cfg)
     relay_filter = strategy == "optimal-relay-filter"
     rows = max(n, CHUNK)
     arrays = _workspace([rows * tx for *_, tx in links]
@@ -381,8 +358,8 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[st
            trials: int, seed: int, threads: int, early_stop_errors: int | None,
            kernel) -> list[tuple[str, float, int, int, float, float]]:
     """Run kernel(cfg, strategy, stream, n) chunk by chunk over the (strategy,
-    point) rows, strategy-major; chunk c of point p reads substream p * 2^32 + c
-    whatever the strategy.  Returns per row (strategy, label_db, count,
+    point) rows, strategy-major; chunk c of point p reads ``chunk_stream(seed,
+    p, c)`` whatever the strategy.  Returns per row (strategy, label_db, count,
     trials_used, ci_low, ci_high).
 
     Every chunk runs on one pool of :func:`sweep_workers` workers, also when
@@ -437,7 +414,7 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[st
 
     def run(r, c):
         strategy, p = rows[r]
-        return kernel(points[p][1], strategy, RngStream(seed, p * _POINT_STRIDE + c), size(c))
+        return kernel(points[p][1], strategy, chunk_stream(seed, p, c), size(c))
 
     workers = sweep_workers(threads, len(rows), trials)
     pool = ThreadPoolExecutor(max_workers=max(workers, 1))  # no rows: no chunks

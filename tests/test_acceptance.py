@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from relaysim.channel import SystemConfig, draw_channels
+from relaysim.channel import SystemConfig
 from relaysim.cli import main as cli_main
 from relaysim.montecarlo import fit_diversity, run_ber, run_outage
 from relaysim.numerics import RngStream, dominant_singular_pair_batch
@@ -25,6 +25,7 @@ from relaysim.selection import (
     mrc_post_snr_variant,
     relaying_harmful,
 )
+from relaysim.stream import draw
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -110,7 +111,7 @@ def test_criterion_4_dominance():
     while done < total:
         n = min(chunk, total - done)
         gen = RngStream(9, idx).generator()
-        h_sd, h_sr, h_rd = draw_channels(gen, n, cfg)
+        h_sd, h_sr, h_rd = (link.values() for link in draw(cfg, gen, n))
         g_sd = np.sum(np.abs(h_sd) ** 2, axis=1)
         g_sr = np.sum(np.abs(h_sr) ** 2, axis=1)
         g_rd = np.sum(np.abs(h_rd) ** 2, axis=1)
@@ -204,7 +205,7 @@ def test_criterion_8_selection_decoupling():
     while done < total:
         n = min(1 << 14, total - done)
         gen = RngStream(10, idx).generator()
-        h_sd, h_sr, h_rd = draw_channels(gen, n, cfg)
+        h_sd, h_sr, h_rd = (link.values() for link in draw(cfg, gen, n))
         g_sd = cfg.snr * np.sum(np.abs(h_sd) ** 2, axis=1)
         g_sr = cfg.snr * np.sum(np.abs(h_sr) ** 2, axis=1)
         g_rd = cfg.snr * np.sum(np.abs(h_rd) ** 2, axis=1)

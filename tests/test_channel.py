@@ -5,14 +5,19 @@ from relaysim.channel import (
     ChannelRealization,
     SystemConfig,
     config_from_mean_snrs_db,
-    draw_channels,
-    draw_links,
-    draw_realization,
     lambda_from_mean_snr_db,
     link_snrs,
 )
 from relaysim.errors import InvalidParameterError
 from relaysim.numerics import RngStream
+from relaysim.stream import (
+    CHUNK,
+    MAX_TRIALS,
+    STREAM_FORMAT,
+    chunk_stream,
+    draw,
+    draw_realization,
+)
 
 
 class TestSystemConfig:
@@ -57,50 +62,69 @@ class TestDrawRealization:
     def test_moments_unit_gains(self):
         # engine draw path, 1e6 scalar realizations
         cfg = SystemConfig(1, 1, 1)
-        h_sd, _, _ = draw_channels(RngStream(7).generator(), 10**6, cfg)
+        h_sd, _, _ = (h.values() for h in draw(cfg, RngStream(7).generator(), 10**6))
         assert 0.99 <= np.mean(np.abs(h_sd) ** 2) <= 1.01
 
     def test_moments_sr_gain(self):
         cfg = SystemConfig(1, 2, 1, lambda_sr=4.0)
-        _, h_sr, _ = draw_channels(RngStream(8).generator(), 10**6, cfg)
+        _, h_sr, _ = (h.values() for h in draw(cfg, RngStream(8).generator(), 10**6))
         col_power = np.sum(np.abs(h_sr) ** 2, axis=1)  # (trials, 1)
         assert np.mean(col_power) == pytest.approx(4.0 * 2, rel=0.01)
 
     def test_links_independent(self):
         cfg = SystemConfig(1, 1, 1)
-        h_sd, h_sr, h_rd = draw_channels(RngStream(9).generator(), 10**6, cfg)
+        h_sd, h_sr, h_rd = (h.values() for h in draw(cfg, RngStream(9).generator(), 10**6))
         for x, y in [(h_sd, h_sr), (h_sd, h_rd), (h_sr, h_rd)]:
             rho = np.mean(x.ravel() * y.ravel().conj())
             assert abs(rho) < 0.01
 
 
 class TestDrawLinks:
-    """The split draw pins the stream: Philox standard normals for h_sd, h_sr,
-    h_rd in that order, each link's real block before its imaginary block."""
+    """Stream format 1, written out: chunk c of sweep point p reads substream
+    p * 2^32 + c, and draws Philox standard normals for h_sd, h_sr, h_rd in
+    that order, each link's real block before its imaginary block; a BER
+    chunk then draws the bits and the relay and two destination noise
+    blocks.  A change here is a stream-format change."""
 
     cfg = SystemConfig(2, 3, 4, lambda_sd=0.5, lambda_sr=2.0, lambda_rd=3.0)
     shapes = ((4, 2), (3, 2), (4, 3))
     lambdas = (0.5, 2.0, 3.0)
 
     def test_stream_layout(self):
-        gen = RngStream(5, 1).generator()
-        links = draw_links(gen, 7, self.cfg)
-        ref = RngStream(5, 1).generator()
-        for link, shape, lam in zip(links, self.shapes, self.lambdas):
-            assert np.array_equal(link.re, ref.standard_normal((7, *shape)))
-            assert np.array_equal(link.im, ref.standard_normal((7, *shape)))
-            assert link.scale == np.sqrt(lam / 2.0)
-        assert gen.standard_normal() == ref.standard_normal()
+        for ber in (False, True):
+            gen = RngStream(5, 1).generator()
+            drawn = draw(self.cfg, gen, 7, ber)
+            ref = RngStream(5, 1).generator()
+            for link, shape, lam in zip(drawn[:3], self.shapes, self.lambdas):
+                assert np.array_equal(link.re, ref.standard_normal((7, *shape)))
+                assert np.array_equal(link.im, ref.standard_normal((7, *shape)))
+                assert link.scale == np.sqrt(lam / 2.0)
+            assert len(drawn) == (7 if ber else 3)
+            if ber:
+                bits, *noise = drawn[3:]
+                assert np.array_equal(bits, ref.integers(0, 2, 7))
+                for block, size in zip(noise, (3, 4, 4)):  # n_r, n_d1, n_d2
+                    assert np.array_equal(block.re, ref.standard_normal((7, size)))
+                    assert np.array_equal(block.im, ref.standard_normal((7, size)))
+                    assert block.scale == np.sqrt(0.5)
+            assert gen.standard_normal() == ref.standard_normal()
+
+    def test_chunk_addressing(self):
+        assert STREAM_FORMAT == 1
+        assert CHUNK == 2**14 and MAX_TRIALS == CHUNK * 2**32
+        assert chunk_stream(5, 0, 0) == RngStream(5, 0)
+        assert chunk_stream(5, 3, 2**32 - 1) == RngStream(5, 3 * 2**32 + 2**32 - 1)
 
     def test_draw_channels_is_scaled_blocks(self):
-        links = draw_links(RngStream(5, 1).generator(), 7, self.cfg)
-        mats = draw_channels(RngStream(5, 1).generator(), 7, self.cfg)
-        for link, h in zip(links, mats):
-            built = link.scale * (link.re + 1j * link.im)
+        # draw_realization is trial 0 of a one-trial draw, built from its blocks
+        links = draw(self.cfg, RngStream(5, 1).generator(), 1)
+        mats = draw_realization(self.cfg, RngStream(5, 1))
+        for link, h in zip(links, (mats.h_sd, mats.h_sr, mats.h_rd)):
+            built = link.scale * (link.re[0] + 1j * link.im[0])
             assert np.array_equal(h.view(np.float64), built.view(np.float64))
 
     def test_gathered_columns_match_the_matrix(self):
-        links = draw_links(RngStream(6).generator(), 50, self.cfg)
+        links = draw(self.cfg, RngStream(6).generator(), 50)
         rows = np.arange(50)
         cols = RngStream(6, 1).generator().integers(0, 2, 50)
         for link in links:
@@ -110,7 +134,7 @@ class TestDrawLinks:
 
     def test_rejects_empty_batch(self):
         with pytest.raises(InvalidParameterError):
-            draw_links(RngStream(1).generator(), 0, self.cfg)
+            draw(self.cfg, RngStream(1).generator(), 0)
 
 
 class TestLinkSnrs:
@@ -145,7 +169,7 @@ class TestLinkSnrs:
     def test_mean_gamma(self):
         # mean of gamma over draws ~ N_rx * lambda * snr
         cfg = SystemConfig(1, 3, 2, lambda_sr=2.0, snr=5.0)
-        _, h_sr, _ = draw_channels(RngStream(10).generator(), 10**6, cfg)
+        _, h_sr, _ = (h.values() for h in draw(cfg, RngStream(10).generator(), 10**6))
         gamma = cfg.snr * np.sum(np.abs(h_sr) ** 2, axis=1)
         assert np.mean(gamma) == pytest.approx(3 * 2.0 * 5.0, rel=0.01)
 

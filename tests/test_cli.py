@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import relaysim.cli
 from relaysim.cli import main, validate_spec
-from relaysim.montecarlo import MAX_TRIALS
+from relaysim.stream import MAX_TRIALS, STREAM_FORMAT
 
 
 def make_spec(**overrides):
@@ -201,6 +202,8 @@ class TestRunExperiment:
         assert manifest["seed"] == 1
         assert manifest["version"]
         assert manifest["spec"]["trials"] == 20000
+        # replay needs both: numpy promises no stream stability across versions (NEP 19)
+        assert (manifest["stream_format"], manifest["numpy"]) == (STREAM_FORMAT, np.__version__)
 
     def test_byte_identical_across_threads(self, tmp_path):
         spec_path = tmp_path / "spec.json"

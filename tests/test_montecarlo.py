@@ -18,15 +18,10 @@ from relaysim.channel import (
     LinkSnrs,
     SystemConfig,
     config_from_mean_snrs_db,
-    draw_channels,
-    draw_links,
     link_snrs,
 )
 from relaysim.errors import InsufficientStatisticsError, InvalidParameterError
 from relaysim.montecarlo import (
-    _POINT_STRIDE,
-    CHUNK,
-    MAX_TRIALS,
     BerPoint,
     OutagePoint,
     _ber_chunk,
@@ -48,7 +43,6 @@ from relaysim.numerics import (
     RngStream,
     dominant_singular_pair_batch,
     gram_top_eigenvalue_bounds,
-    sample_complex_gaussian,
 )
 from relaysim.receiver import detect_bpsk, mmse_filter, mrc_filter
 from relaysim.relaying import (
@@ -64,6 +58,7 @@ from relaysim.selection import (
     select_relay_antenna,
     select_source_antenna,
 )
+from relaysim.stream import CHUNK, MAX_TRIALS, chunk_stream, draw
 
 # the CPUs this process may run on, counted by the rule of sweep_workers
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -281,7 +276,7 @@ class TestWorkerPool:
         calls = []
 
         def kernel(cfg, strategy, stream, n):
-            calls.append(stream.index)
+            calls.append(stream)
             return real(cfg, strategy, stream, n)
 
         monkeypatch.setattr(relaysim.montecarlo, "_ber_chunk", kernel)
@@ -289,7 +284,7 @@ class TestWorkerPool:
                          3 * CHUNK + 77, seed=5, threads=1, early_stop_errors=2000)
         used = [-(-p.trials // CHUNK) for p in points]
         assert len(set(used)) >= 2
-        assert calls == [p * _POINT_STRIDE + c for p, n in enumerate(used) for c in range(n)]
+        assert calls == [chunk_stream(5, p, c) for p, n in enumerate(used) for c in range(n)]
 
     def test_pool_counts_usable_cpus(self, monkeypatch):
         # a process pinned to one CPU (taskset -c 0) still sees the
@@ -406,7 +401,7 @@ class TestStrategyRows:
         calls = []
 
         def kernel(cfg, strategy, stream, n):
-            calls.append((strategy, stream.index))
+            calls.append((strategy, stream))
             return real(cfg, strategy, stream, n)
 
         monkeypatch.setattr(relaysim.montecarlo, "_ber_chunk", kernel)
@@ -415,7 +410,7 @@ class TestStrategyRows:
         used = [-(-p.trials // CHUNK) for p in rows]
         assert len(set(used)) >= 2
         n_points = len(self.POINTS)
-        assert calls == [(strategies[r // n_points], (r % n_points) * _POINT_STRIDE + c)
+        assert calls == [(strategies[r // n_points], chunk_stream(11, r % n_points, c))
                          for r, n in enumerate(used) for c in range(n)]
 
     @pytest.mark.parametrize("engine", ["ber", "outage"])
@@ -508,15 +503,16 @@ def test_early_stop_sweep_equal_across_threads(engine):
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (3, 3, 3)])
 def test_gains_match_link_snrs(dims):
     cfg = SystemConfig(*dims, lambda_sd=0.7, lambda_sr=1.9, lambda_rd=0.2, snr=3.0)
-    gains = _gains(cfg, *draw_links(RngStream(9, 4).generator(), 200, cfg))
-    mats = draw_channels(RngStream(9, 4).generator(), 200, cfg)
+    links = draw(cfg, RngStream(9, 4).generator(), 200)
+    gains = _gains(cfg, *links)
+    mats = [link.values() for link in links]
     for t in range(200):
         snrs = link_snrs(cfg, ChannelRealization(*(h[t] for h in mats)))
         for g, ref in zip(gains, (snrs.gamma_sd, snrs.gamma_sr, snrs.gamma_rd)):
             np.testing.assert_allclose(g[t], ref, rtol=1e-13, atol=0)
 
 
-# Fixed-seed counts of stream format 0.2.0 (seed 2026, 2 * CHUNK + 500 trials per
+# Fixed-seed counts of stream format 1 (seed 2026, 2 * CHUNK + 500 trials per
 # point, so three chunks with a short last one).  Any change to the random
 # stream or to the rounding that decides a selection or a detection shows here.
 GOLDEN_COUNTS = {
@@ -603,7 +599,7 @@ def test_relay_filter_4x4x4_eigensolves_under_2_percent(monkeypatch):
 def orf_gammas(cfg, stream, n):
     """On one chunk's draws: the optimal-relay-filter post-SNR of every trial
     through the full rule, and its antenna-selection and total-power bounds."""
-    sd, sr, rd = draw_links(stream.generator(), n, cfg)
+    sd, sr, rd = draw(cfg, stream.generator(), n)
     gains = _gains(cfg, sd, sr, rd)
     gamma = select(cfg, "optimal-relay-filter", *gains, rd.values())[3]
     low = select(cfg, "mmse-receiver", *gains, None)[3]
@@ -622,7 +618,7 @@ def orf_stage_2(cfg, stream, n):
     trial from the eigensolve, and the second bracket's bounds on it, the
     trace sum_k g_rd times :func:`gram_top_eigenvalue_bounds` at the best
     relay antenna."""
-    sd, sr, rd = draw_links(stream.generator(), n, cfg)
+    sd, sr, rd = draw(cfg, stream.generator(), n)
     gains = _gains(cfg, sd, sr, rd)
     sigma, _ = dominant_singular_pair_batch(rd.values())
     low, high = gram_top_eigenvalue_bounds(rd.re, rd.im, np.argmax(gains[2], axis=1))
@@ -738,12 +734,8 @@ def test_relay_filter_outage_every_trial_undecided(monkeypatch, dims):
 def scalar_ber_errors(cfg, strategy, stream, n):
     """Replay a BER chunk's draws trial by trial through the scalar API:
     selection rule, relay, equivalent channel, receiver filter, detector."""
-    gen = stream.generator()
-    h_sd, h_sr, h_rd = draw_channels(gen, n, cfg)
-    bits = gen.integers(0, 2, n)
-    n_r = sample_complex_gaussian(gen, n, cfg.n_r)
-    n_d1 = sample_complex_gaussian(gen, n, cfg.n_d)
-    n_d2 = sample_complex_gaussian(gen, n, cfg.n_d)
+    sd, sr, rd, bits, *noise = draw(cfg, stream.generator(), n, ber=True)
+    h_sd, h_sr, h_rd, n_r, n_d1, n_d2 = (x.values() for x in (sd, sr, rd, *noise))
     errors = 0
     for t in range(n):
         ch = ChannelRealization(h_sd=h_sd[t], h_sr=h_sr[t], h_rd=h_rd[t])
@@ -782,7 +774,7 @@ def scalar_ber_errors(cfg, strategy, stream, n):
 def scalar_outage_gammas(cfg, strategy, stream, n) -> tuple[float, ...]:
     """Replay an outage chunk's draws trial by trial through the scalar API:
     link SNRs, selection rule, post-SNR of the selected configuration."""
-    h_sd, h_sr, h_rd = draw_channels(stream.generator(), n, cfg)
+    h_sd, h_sr, h_rd = (link.values() for link in draw(cfg, stream.generator(), n))
     gammas = []
     for t in range(n):
         ch = ChannelRealization(h_sd=h_sd[t], h_sr=h_sr[t], h_rd=h_rd[t])

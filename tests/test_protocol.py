@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from relaysim.channel import SystemConfig, draw_realization, link_snrs
+from relaysim.channel import SystemConfig, link_snrs
 from relaysim.numerics import RngStream
 from relaysim.protocol import feedback_budget, simulate_feedback_sequence
 from relaysim.selection import select_relay_antenna, select_source_antenna
+from relaysim.stream import draw_realization
 
 
 class TestFeedbackBudget:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relaysim.channel import ChannelRealization, SystemConfig, draw_realization, link_snrs
+from relaysim.channel import ChannelRealization, SystemConfig, link_snrs
 from relaysim.errors import InvalidParameterError, NumericalError
 from relaysim.numerics import RngStream, sample_complex_gaussian, sample_gaussian_blocks
 from relaysim.receiver import (
@@ -17,6 +17,7 @@ from relaysim.receiver import (
 )
 from relaysim.relaying import EquivalentChannel, equivalent_channel
 from relaysim.selection import mmse_post_snr, mrc_post_snr, mrc_post_snr_variant
+from relaysim.stream import draw_realization
 
 
 def make_eq(h, r_n):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relaysim.channel import ChannelRealization, SystemConfig, draw_realization, link_snrs
+from relaysim.channel import ChannelRealization, SystemConfig, link_snrs
 from relaysim.errors import DegenerateInputError, InvalidParameterError
 from relaysim.numerics import RngStream
 from relaysim.relaying import (
@@ -12,6 +12,7 @@ from relaysim.relaying import (
     relay_gain,
 )
 from relaysim.selection import mmse_post_snr
+from relaysim.stream import draw_realization
 
 
 def scalar_realization(h_sd=1.0, h_sr=1.0, h_rd=1.0):
