@@ -31,18 +31,18 @@ from .montecarlo import fit_diversity, run_ber_points, run_outage_points, sweep_
 from .protocol import feedback_budget
 from .receiver import closed_form_check
 from .selection import STRATEGIES
-from .stream import CHUNK, MAX_TRIALS, STREAM_FORMAT
+from .stream import CHUNK, MAX_TRIALS, POINT_STRIDE, STREAM_FORMAT
 
 EXIT_OK = 0
 EXIT_BAD_SPEC = 2
 EXIT_UNWRITABLE = 3
 
 # Largest n_d*n_s + n_r*n_s + n_d*n_r a run accepts.  A BER sweep worker keeps
-# one chunk's draws resident for the whole sweep: a real and an imaginary
-# float64 per antenna pair and trial, so 1024 pairs hold 256 MiB per worker,
-# and the noise, 2*(n_r + 2*n_d) float64 per trial, adds at most as much
-# again.  An outage worker keeps the gains and a row block (plus h_rd's
-# real half under optimal-relay-filter), which is less.
+# every half of one chunk's draws but the last (a row block) for the whole
+# sweep: a real and an imaginary float64 per antenna pair and trial, so 1024
+# pairs hold 256 MiB per worker, and the noise, under 2*(n_r + 2*n_d) float64
+# per trial, adds at most as much again.  An outage worker keeps the gains and
+# a row block (plus h_rd's real half under optimal-relay-filter), which is less.
 MAX_ANTENNA_PAIRS = 1024
 
 _MODES = ("ber", "outage", "diversity")
@@ -93,7 +93,8 @@ class _Key(NamedTuple):
 _REQUIRED = object()  # the default of a key that must be given wherever it is read
 _KEYS = {
     "trials": _Key(_MODES, _REQUIRED, lambda v: _is_int(v) and 1 <= v <= MAX_TRIALS,
-                   f"an integer in [1, {MAX_TRIALS}] (2^32 chunks of {CHUNK})"),
+                   f"an integer in [1, {MAX_TRIALS}] "
+                   f"(2^{POINT_STRIDE.bit_length() - 1} chunks of {CHUNK})"),
     "seed": _Key(_MODES, 0, lambda v: _is_int(v) and 0 <= v < 2**64,
                  "an unsigned 64-bit integer"),
     "gamma0": _Key(("outage", "diversity"), _REQUIRED, _is_positive, "a finite positive number"),

@@ -9,18 +9,18 @@ the drawn real and imaginary blocks of the links and the noise; complex
 arrays remain only for the ``optimal-relay-filter`` relay beam.
 
 Both kernels draw their chunk of trials, whose substream and draws
-:mod:`~relaysim.stream` defines, into their worker thread's workspace, which
-lives as long as the thread and never shrinks.  The BER kernel keeps every
-drawn block (:func:`_draw_chunk`); the outage kernel draws each half of a
-link one row block at a time and reduces it at once to its gains, so it
-holds the gains and a row block (and, under ``optimal-relay-filter``, h_rd's
-real half).  Everything after the draw runs on blocks of
-:data:`~relaysim.numerics.ROW_BLOCK` rows.  So each chunk reuses the same
-memory, and the allocator keeps its small temporaries instead of returning
-them to the kernel.  Kernels return only counts; no view of the workspace
-leaves a chunk.  Chunk boundaries never depend on the worker count, and
-counts are summed in chunk order, so results are bit-identical for any
-number of threads.
+:mod:`~relaysim.stream` defines, one row block at a time into their worker
+thread's workspace (:func:`_chunk_rows`), which lives as long as the thread
+and never shrinks.  A BER worker holds every half but the chunk's last; an
+outage worker reduces each link to its gains as it lands and holds those and
+a row block (and, under ``optimal-relay-filter``, h_rd's real half).  Then
+everything runs on blocks of :data:`~relaysim.numerics.ROW_BLOCK` rows, as
+the last half lands each of them.  So each chunk reuses the same memory,
+and the allocator keeps its small temporaries instead of returning them to
+the kernel.  Kernels return only counts; no view of the workspace leaves a
+chunk.  Chunk boundaries never depend on the worker count, and counts are
+summed in chunk order, so results are bit-identical for any number of
+threads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .numerics import (ROW_BLOCK, GaussianBlocks, RngStream, dominant_singular_p
                        gaussian_scale, gram_top_eigenvalue_bounds, re_inner, row_blocks)
 from .relaying import af_constants
 from .selection import STRATEGIES, gamma_srd, mrc_post_snr
-from .stream import CHUNK, MAX_TRIALS, chunk_stream, draw, layout
+from .stream import CHUNK, MAX_TRIALS, chunk_stream, layout
 
 # Relative margin around gamma0 inside which an optimal-relay-filter outage
 # trial is left to the eigensolve: about 1e6 times the rounding of the bounds.
@@ -187,61 +187,69 @@ def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _draw_chunk(cfg: SystemConfig, stream: RngStream, n: int, ber: bool) -> list:
-    """:func:`~relaysim.stream.draw` of one chunk of n trials into this
-    thread's workspace, each Gaussian block into views of an (re, im) float64
-    pair of it.  Only the BER kernel keeps a whole chunk's draws resident."""
-    shapes = [block[1:] for block in layout(cfg, ber) if block]
+def _chunk_rows(cfg: SystemConfig, stream: RngStream, n: int, ber: bool,
+                read: Sequence[int]) -> Iterator[tuple]:
+    """The n trials of ``stream.draw(cfg, stream.generator(), n, ber)``, one
+    row block at a time.
+
+    Each half (real or imaginary block) of :func:`~relaysim.stream.layout`
+    is drawn in order, one :data:`~relaysim.numerics.ROW_BLOCK` at a time,
+    into this thread's workspace: chunk-sized for the entries at the layout
+    indices ``read``, except the chunk's last half, and into one row block
+    otherwise.  A link not kept whole is reduced as it lands into chunk-sized
+    gains, the per-antenna sums of :func:`_gains`.  As the last half lands a
+    row block, this yields its gains, then its rows of the entries read.
+    """
+    entries = layout(cfg, ber)
+    last = len(entries) - 1
+    # chunk-sized: the halves of the entries read, but the chunk's last half
+    kept = [(j, half) for j in read if entries[j] for half in "ri" if (j, half) != (last, "i")]
+    reduced = [j for j in range(3) if (j, "i") not in kept]  # the links not kept whole
+    size = [math.prod(e[1:]) if e else 0 for e in entries]
     rows = max(n, CHUNK)
-    halves = iter(_workspace([rows * math.prod(shape) for shape in shapes for _ in "ri"]))
-    return draw(cfg, stream.generator(), n, ber,
-                out=[[_view(next(halves), n, *shape) for _ in "ri"] for shape in shapes])
+    # the gains, the row block, a row block of per-antenna sums, the halves kept
+    arrays = _workspace([rows * entries[j][2] if j in reduced else 0 for j in range(3)]
+                        + [ROW_BLOCK * max(size[j] for j in range(last + 1) if (j, "i") not in kept),
+                           ROW_BLOCK * max((entries[j][2] for j in reduced), default=0)]
+                        + [rows * size[j] for j, _ in kept])
+    gains = {j: _view(arrays[j], n, entries[j][2]) for j in reduced}
+    block, scratch = arrays[3:5]
+    halves = {(j, half): _view(a, n, *entries[j][1:]) for (j, half), a in zip(kept, arrays[5:])}
+    scales = [gaussian_scale(e[0]) if e else None for e in entries]
+    gen = stream.generator()
+    for j, entry in enumerate(entries):
+        if entry is None:
+            bits = gen.integers(0, 2, n)
+            continue
+        for half in "ri":
+            for b in row_blocks(n):
+                m = b.stop - b.start
+                out = halves[j, half][b] if (j, half) in halves else _view(block, m, *entry[1:])
+                x = gen.standard_normal(out.shape, out=out)
+                if j in reduced and half == "r":
+                    np.einsum(_RX_SUM, x, x, out=gains[j][b])
+                elif j in reduced:
+                    gains[j][b] += np.einsum(_RX_SUM, x, x, out=_view(scratch, m, entry[-1]))
+                    gains[j][b] *= cfg.snr * scales[j] ** 2
+                if (j, half) == (last, "i"):
+                    yield (*(gains[i][b] for i in reduced),
+                           *(bits[b] if entries[i] is None else GaussianBlocks(
+                               scales[i], halves[i, "r"][b], x if i == last else halves[i, "i"][b])
+                             for i in read))
 
 
 def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
                   stream: RngStream, n: int) -> int:
-    """Count the trials whose selected post-SNR falls below gamma0.
-
-    The variates are those of ``_draw_chunk(cfg, stream, n, ber=False)``:
-    the same six halves in the same order, but each half is drawn one row
-    block at a time into a :data:`~relaysim.numerics.ROW_BLOCK`-row buffer
-    and reduced at once into its rows of the gains, the per-antenna sums over
-    the receive axis of :func:`_gains`.  h_rd's imaginary half is the last
-    draw, so each of its row blocks completes its rows of g_rd and is counted
-    at once by :func:`_outage_rows`.  Only ``optimal-relay-filter`` keeps a
-    chunk-sized block, h_rd's real half, which its brackets and eigensolve
-    read beside the imaginary row block.
-    """
-    links = layout(cfg)
-    relay_filter = strategy == "optimal-relay-filter"
-    rows = max(n, CHUNK)
-    arrays = _workspace([rows * tx for *_, tx in links]
-                        + [ROW_BLOCK * max(rx * tx for _, rx, tx in links),
-                           ROW_BLOCK * max(tx for *_, tx in links)]
-                        + ([rows * cfg.n_d * cfg.n_r] if relay_filter else []))
-    gains = [_view(g, n, tx) for g, (*_, tx) in zip(arrays, links)]
-    block, scratch = arrays[3:5]
-    rd_re = _view(arrays[5], n, cfg.n_d, cfg.n_r) if relay_filter else None
-    gen = stream.generator()
-    count = 0
-    for (variance, rx, tx), g in zip(links, gains):
-        on_rd = g is gains[-1]
-        for b in row_blocks(n):  # the real half
-            re = rd_re[b] if on_rd and relay_filter else _view(block, b.stop - b.start, rx, tx)
-            np.einsum(_RX_SUM, gen.standard_normal(re.shape, out=re), re, out=g[b])
-        for b in row_blocks(n):  # the imaginary half
-            m = b.stop - b.start
-            im = gen.standard_normal((m, rx, tx), out=_view(block, m, rx, tx))
-            g[b] += np.einsum(_RX_SUM, im, im, out=_view(scratch, m, tx))
-            g[b] *= cfg.snr * gaussian_scale(variance) ** 2
-            if on_rd:
-                rd = GaussianBlocks(gaussian_scale(variance), rd_re[b], im) if relay_filter else None
-                count += _outage_rows(cfg, strategy, gamma0, *(x[b] for x in gains), rd)
-    return count
+    """Count the trials whose selected post-SNR falls below gamma0, one row
+    block of :func:`_chunk_rows` at a time, from the gains and, under
+    ``optimal-relay-filter``, h_rd's blocks."""
+    read = (2,) if strategy == "optimal-relay-filter" else ()
+    return sum(_outage_rows(cfg, strategy, gamma0, *rows)
+               for rows in _chunk_rows(cfg, stream, n, False, read))
 
 
 def _outage_rows(cfg: SystemConfig, strategy: str, gamma0: float, g_sd: np.ndarray,
-                 g_sr: np.ndarray, g_rd: np.ndarray, rd: GaussianBlocks | None) -> int:
+                 g_sr: np.ndarray, g_rd: np.ndarray, rd: GaussianBlocks | None = None) -> int:
     """The outage count of the trials of one row block, from their gains (and
     under ``optimal-relay-filter`` their h_rd blocks: the real half's rows of
     the chunk and the imaginary row block just drawn).
@@ -300,15 +308,15 @@ def _columns(link: GaussianBlocks, j) -> GaussianBlocks:
 
 def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> int:
     """Simulate n one-symbol blocks through the two-slot chain and count the
-    errors: draw the chunk, then run the chain one row block at a time."""
-    sd, sr, rd, bits, *noise = _draw_chunk(cfg, stream, n, ber=True)
-    return sum(_ber_rows(cfg, strategy, bits[b], *(x.rows(b) for x in (sd, sr, rd, *noise)))
-               for b in row_blocks(n))
+    errors, one row block of :func:`_chunk_rows` at a time; the chain reads
+    every entry of the chunk."""
+    read = range(len(layout(cfg, ber=True)))
+    return sum(_ber_rows(cfg, strategy, *rows) for rows in _chunk_rows(cfg, stream, n, True, read))
 
 
-def _ber_rows(cfg: SystemConfig, strategy: str, bits: np.ndarray,
-              sd: GaussianBlocks, sr: GaussianBlocks, rd: GaussianBlocks,
-              n_r: GaussianBlocks, n_d1: GaussianBlocks, n_d2: GaussianBlocks) -> int:
+def _ber_rows(cfg: SystemConfig, strategy: str, sd: GaussianBlocks, sr: GaussianBlocks,
+              rd: GaussianBlocks, bits: np.ndarray, n_r: GaussianBlocks,
+              n_d1: GaussianBlocks, n_d2: GaussianBlocks) -> int:
     """The bit errors of the trials of one row block.  Detection reads only
     Re(w^H y), taken from the real and imaginary blocks."""
     h_rd = rd.values() if strategy == "optimal-relay-filter" else None

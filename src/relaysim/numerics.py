@@ -1,16 +1,16 @@
 """Reproducible random sampling, the dominant singular pair of complex
 matrices, and trace bounds on its value.
 
-Channel matrices here are plain complex128 numpy arrays.  All routines are
-pure: they never mutate their inputs, and randomness always flows through an
-explicit :class:`RngStream` so that results are a function of (seed, index)
-only, independent of execution order.
+Draws are kept as real and imaginary blocks (:class:`GaussianBlocks`).  No
+routine mutates its inputs.  The samplers take an :class:`RngStream` or a
+numpy Generator that they advance, so draws are a function of (seed, index)
+and the calls made, independent of execution order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class GaussianBlocks(NamedTuple):
         computed by the same expression whatever the index."""
         return self.scale * (self.re[index] + 1j * self.im[index])
 
-    def rows(self, index) -> "GaussianBlocks":
-        """The draw restricted to the trials (first axis) at ``index``."""
-        return GaussianBlocks(self.scale, self.re[index], self.im[index])
-
 
 def re_inner(x: GaussianBlocks, y: GaussianBlocks):
     """Re(x_t^H y_t) per trial t of two (T, M) draws, from the real and
@@ -75,9 +71,9 @@ def re_inner(x: GaussianBlocks, y: GaussianBlocks):
                                 + np.einsum("ti,ti->t", x.im, y.im))
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most :data:`ROW_BLOCK` rows covering range(n)."""
-    return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
+def row_blocks(n: int) -> Iterator[slice]:
+    """Lazy consecutive slices of at most :data:`ROW_BLOCK` rows covering range(n)."""
+    return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
 
 
 def gaussian_scale(variance: float) -> float:
@@ -86,8 +82,7 @@ def gaussian_scale(variance: float) -> float:
     return np.sqrt(variance / 2.0)
 
 
-def sample_gaussian_blocks(rng, *shape: int, variance: float = 1.0,
-                           out=None) -> GaussianBlocks:
+def sample_gaussian_blocks(rng, *shape: int, variance: float = 1.0) -> GaussianBlocks:
     """Draw an array of the given shape of i.i.d. CN(0, variance) entries as
     :class:`GaussianBlocks`.
 
@@ -95,18 +90,15 @@ def sample_gaussian_blocks(rng, *shape: int, variance: float = 1.0,
     block is drawn before the whole imaginary block.  ``rng`` may be an
     :class:`RngStream` (a fresh generator is derived, so repeated calls with
     the same stream return the same array) or a ``numpy.random.Generator``
-    (which is advanced in place).  ``out``, a pair of C-contiguous float64
-    arrays of the given shape, receives the real and imaginary blocks in
-    place of new arrays; the variates are the same either way.
+    (which is advanced in place).
     """
     if not np.isfinite(variance) or variance <= 0:
         raise InvalidParameterError(f"variance must be finite and > 0, got {variance}")
     if not shape or min(shape) < 1:
         raise InvalidParameterError(f"dimensions must be positive, got {shape}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    re_out, im_out = (None, None) if out is None else out
-    re = gen.standard_normal(shape, out=re_out)
-    return GaussianBlocks(gaussian_scale(variance), re, gen.standard_normal(shape, out=im_out))
+    re = gen.standard_normal(shape)
+    return GaussianBlocks(gaussian_scale(variance), re, gen.standard_normal(shape))
 
 
 def sample_complex_gaussian(rng, *shape: int, variance: float = 1.0) -> np.ndarray:

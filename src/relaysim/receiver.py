@@ -7,6 +7,7 @@ checked against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +113,9 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     gen = RngStream(seed, stream_index).generator()
     sizes = (n_d, n_r, n_d)  # h_sd,i, h_sr,i, h_rd,k
-    devs = [_check_rows(*(sample_gaussian_blocks(gen, b.stop - b.start, m) for m in sizes), snr)
-            for b in row_blocks(trials)]
-    return tuple(max(col) for col in zip(*devs))
+    devs = (_check_rows(*(sample_gaussian_blocks(gen, b.stop - b.start, m) for m in sizes), snr)
+            for b in row_blocks(trials))
+    return functools.reduce(lambda worst, dev: tuple(map(max, worst, dev)), devs)
 
 
 def _check_rows(sd: GaussianBlocks, sr: GaussianBlocks, rd: GaussianBlocks,

@@ -3,10 +3,11 @@
 A sweep's randomness is a function of (seed, point, chunk) alone.  Chunk c
 of sweep point p draws from the Philox substream (seed, p * 2^32 + c)
 (:func:`chunk_stream`); its n <= CHUNK trials draw :func:`layout` in order,
-each Gaussian block's whole real half before its whole imaginary half
-(:func:`draw`).  A draw split into consecutive calls on the same generator
-gives the same variates, so a kernel may draw a half in row blocks.  A change
-to any definition here changes the variates and bumps STREAM_FORMAT.
+each Gaussian block's whole real half before its whole imaginary half.
+:func:`draw` is the reference draw, one call per half; a half split into
+consecutive calls on the same generator gives the same variates, so the
+kernels draw each half one row block at a time.  A change to any definition
+here changes the variates and bumps STREAM_FORMAT.
 """
 
 from __future__ import annotations
@@ -39,16 +40,12 @@ def layout(cfg: SystemConfig, ber: bool = False) -> list:
     return blocks
 
 
-def draw(cfg: SystemConfig, gen: np.random.Generator, n: int, ber: bool = False,
-         out=None) -> list:
-    """Draw n trials of :func:`layout` from ``gen``, in order: the bits as
-    ``gen.integers(0, 2, n)``, each Gaussian block as
-    :class:`~relaysim.numerics.GaussianBlocks` of shape (n, *shape).
-    ``out``, one (re, im) pair of arrays per Gaussian block, receives the
-    halves in place of new arrays; the variates are the same either way."""
-    pairs = iter(out or ())
+def draw(cfg: SystemConfig, gen: np.random.Generator, n: int, ber: bool = False) -> list:
+    """Draw n trials of :func:`layout` from ``gen``, in order, each half in
+    one call: the bits as ``gen.integers(0, 2, n)``, each Gaussian block as
+    :class:`~relaysim.numerics.GaussianBlocks` of shape (n, *shape)."""
     return [gen.integers(0, 2, n) if block is None else
-            sample_gaussian_blocks(gen, n, *block[1:], variance=block[0], out=next(pairs, None))
+            sample_gaussian_blocks(gen, n, *block[1:], variance=block[0])
             for block in layout(cfg, ber)]
 
 

@@ -25,7 +25,6 @@ from relaysim.montecarlo import (
     BerPoint,
     OutagePoint,
     _ber_chunk,
-    _draw_chunk,
     _gains,
     _outage_chunk,
     diversity_order,
@@ -840,32 +839,53 @@ class RecordingGenerator:
         return call
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (4, 1, 3)])
-def test_outage_chunk_draws_like_draw_chunk(monkeypatch, dims, strategy):
-    # the outage kernel draws each half of _draw_chunk's outage layout one
-    # row block at a time: every call is standard_normal for at most
-    # ROW_BLOCK rows of one half, the halves come in layout order, and each
-    # half's calls together give exactly that half's variates
+def check_row_block_draws(monkeypatch, cfg, ber, kernel):
+    """kernel(stream, n) draws stream.draw's layout one row block at a time:
+    every call on the chunk's generator is standard_normal for at most
+    ROW_BLOCK rows of one half, or the bits in one call, the halves come in
+    layout order, and each half's calls together give exactly the variates
+    of stream.draw's whole-half call."""
     n = 2 * ROW_BLOCK + 77
     calls = []
     real = RngStream.generator
     monkeypatch.setattr(RngStream, "generator", lambda s: RecordingGenerator(real(s), calls))
-    cfg = SystemConfig(*dims, lambda_sd=0.5, lambda_rd=2.0, snr=0.3)
-    _draw_chunk(cfg, RngStream(21, 6), n, ber=False)
+    draw(cfg, RngStream(21, 6).generator(), n, ber)
     expected, calls[:] = calls[:], []
-    _outage_chunk(cfg, strategy, 1.0, RngStream(21, 6), n)
-    assert len(expected) == 6 and {c[0] for c in expected + calls} == {"standard_normal"}
+    kernel(RngStream(21, 6), n)
+    assert len(expected) == (13 if ber else 6)
     got = iter(calls)
-    for _, ((_, *trial_shape),), _, want in expected:
+    for method, args, _, want in expected:
+        if method == "integers":
+            bits = next(got)
+            assert bits[:3] == ("integers", args, [])
+            np.testing.assert_array_equal(bits[3], want)
+            continue
+        assert method == "standard_normal"
+        (_, *trial_shape), = args
         parts = []
         while sum(len(p) for p in parts) < n:
-            _, (shape,), kwargs, values = next(got)
-            assert kwargs == ["out"] and 1 <= shape[0] <= ROW_BLOCK
-            assert list(shape[1:]) == trial_shape
+            method, (shape,), kwargs, values = next(got)
+            assert method == "standard_normal" and kwargs == ["out"]
+            assert 1 <= shape[0] <= ROW_BLOCK and list(shape[1:]) == trial_shape
             parts.append(values)
         np.testing.assert_array_equal(np.concatenate(parts), want)
     assert next(got, None) is None
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (4, 1, 3)])
+def test_outage_chunk_draws_like_draw_chunk(monkeypatch, dims, strategy):
+    cfg = SystemConfig(*dims, lambda_sd=0.5, lambda_rd=2.0, snr=0.3)
+    check_row_block_draws(monkeypatch, cfg, False,
+                          lambda stream, n: _outage_chunk(cfg, strategy, 1.0, stream, n))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (4, 1, 3)])
+def test_ber_chunk_draws_like_draw(monkeypatch, dims, strategy):
+    cfg = SystemConfig(*dims, lambda_sd=0.5, lambda_rd=2.0, snr=0.3)
+    check_row_block_draws(monkeypatch, cfg, True,
+                          lambda stream, n: _ber_chunk(cfg, strategy, stream, n))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -986,6 +1006,24 @@ def test_outage_worker_keeps_gains_and_row_blocks(dims, strategy):
     if strategy == "optimal-relay-filter":
         budget += 8 * CHUNK * n_d * n_r
     assert left <= budget + 2**14
+
+
+@pytest.mark.parametrize("dims, strategy", [
+    *(((3, 3, 3), s) for s in ("mmse-receiver", "optimal-relay-filter")),
+    *(((4, 4, 4), s) for s in ("mrc-receiver", "optimal-relay-filter")),
+    ((2, 5, 3), "direct-only"), ((2, 5, 3), "fixed-antenna")])
+def test_ber_worker_keeps_every_half_but_the_last(dims, strategy):
+    # the chain runs on each row block of the chunk's last half (n_d2's
+    # imaginary block) as it lands, so a worker keeps every other half
+    # chunk-sized (2 float64 per trial and entry of the links and noise,
+    # less n_d), that row block and at most one row block of per-antenna
+    # sums.  The 16 KiB of slack covers the workspace's list and array objects
+    call = kernel_call("ber", dims, strategy, -4.5, RngStream(12, 3), CHUNK)
+    run_on_fresh_thread([call])
+    left, _ = run_on_fresh_thread([lambda: traced_bytes(call)])[0]
+    n_s, n_r, n_d = dims
+    per_trial = 2 * (n_d * n_s + n_r * n_s + n_d * n_r + n_r + 2 * n_d) - n_d
+    assert left <= 8 * (CHUNK * per_trial + ROW_BLOCK * (n_d + max(n_s, n_r))) + 2**14
 
 
 def test_outage_workspace_kept_when_a_call_needs_less():
