@@ -267,7 +267,8 @@ def _resolve_threads(args, diags: list[str]) -> int:
     return threads
 
 
-def _run_experiment(args, mode: str) -> int:
+def _run_experiment(args) -> int:
+    mode = args.command
     overrides = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
     spec, diags = load_spec(args.config, overrides)
     if spec is not None and spec.get("mode") not in (None, mode):
@@ -326,12 +327,13 @@ def _run_experiment(args, mode: str) -> int:
 
 def _cmd_snr_check(args) -> int:
     """Closed-form vs numerical post-SNR deviation sweep."""
+    tol = 1e-9
     grid = itertools.product((0.01, 1.0, 100.0), (1, 2, 3, 4))
     devs = [closed_form_check(n, n, n, snr, args.trials, args.seed, stream)
             for stream, (snr, n) in enumerate(grid)]
     worst_mmse, worst_mrc = (max(col) for col in zip(*devs))
-    print(f"max_rel_dev_mmse={worst_mmse:.3e} max_rel_dev_mrc={worst_mrc:.3e} tol=1e-09")
-    return EXIT_OK if max(worst_mmse, worst_mrc) <= 1e-9 else 1
+    print(f"max_rel_dev_mmse={worst_mmse:.3e} max_rel_dev_mrc={worst_mrc:.3e} tol={tol:g}")
+    return EXIT_OK if max(worst_mmse, worst_mrc) <= tol else 1
 
 
 def _cmd_protocol(args) -> int:
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=_int_in(1), default=None,
                        help="worker threads (no effect on results)")
         p.add_argument("--trials", type=int, default=None, help="override trials per point")
-        return p
+        p.set_defaults(handler=_run_experiment)
 
     add_run("ber", "bit error rate sweep")
     add_run("outage", "outage probability sweep")
@@ -390,27 +392,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snr-check", help="closed-form vs numerical post-SNR oracle check")
     p.add_argument("--trials", type=_int_in(1), default=10000)
     p.add_argument("--seed", type=_int_in(0, 2**64), default=1)
+    p.set_defaults(handler=_cmd_snr_check)
 
     p = sub.add_parser("protocol", help="training/feedback budget")
     p.add_argument("--ns", type=_int_in(1), required=True)
     p.add_argument("--nr", type=_int_in(1), required=True)
     p.add_argument("--nd", type=_int_in(1), default=1)
+    p.set_defaults(handler=_cmd_protocol)
 
     p = sub.add_parser("validate", help="validate an experiment spec without running")
     p.add_argument("--config", required=True)
-
+    p.set_defaults(handler=_cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in _MODES:
-        return _run_experiment(args, args.command)
-    if args.command == "snr-check":
-        return _cmd_snr_check(args)
-    if args.command == "protocol":
-        return _cmd_protocol(args)
-    return _cmd_validate(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ checked against.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,17 +112,12 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     gen = RngStream(seed, stream_index).generator()
     sizes = (n_d, n_r, n_d)  # h_sd,i, h_sr,i, h_rd,k
-    devs = (_check_rows(*(sample_gaussian_blocks(gen, b.stop - b.start, m) for m in sizes), snr)
-            for b in row_blocks(trials))
-    return functools.reduce(lambda worst, dev: tuple(map(max, worst, dev)), devs)
-
-
-def _check_rows(sd: GaussianBlocks, sr: GaussianBlocks, rd: GaussianBlocks,
-                snr: float) -> tuple[float, float]:
-    """:func:`closed_form_check` over the (T, N_D), (T, N_R) and (T, N_D)
-    draws of one row block."""
-    numerical, closed = _row_snrs(sd, sr, rd, snr)
-    return tuple(float(np.max(np.abs(x - cf) / cf)) for x, cf in zip(numerical, closed))
+    worst = np.zeros(2)  # (MMSE, MRC)
+    for b in row_blocks(trials):
+        numerical, closed = _row_snrs(
+            *(sample_gaussian_blocks(gen, b.stop - b.start, m) for m in sizes), snr)
+        worst = np.maximum(worst, np.max(np.abs(np.subtract(numerical, closed)) / closed, axis=1))
+    return tuple(map(float, worst))
 
 
 def _row_snrs(sd: GaussianBlocks, sr: GaussianBlocks, rd: GaussianBlocks, snr: float):

@@ -216,6 +216,21 @@ class TestRunExperiment:
                      "--threads", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_two_identical_runs_differ_only_in_wall_time(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path, mode="outage", gamma0=1.0)
+        manifests = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            out = tmp_path / run / "out.csv"
+            assert main(["outage", "--config", str(spec_path), "--out", str(out),
+                         "--threads", "2"]) == 0
+            manifest = json.loads((tmp_path / run / "out.csv.manifest.json").read_text())
+            del manifest["wall_time_s"]
+            manifests.append(manifest)
+        assert (tmp_path / "a/out.csv").read_bytes() == (tmp_path / "b/out.csv").read_bytes()
+        assert manifests[0] == manifests[1]
+
     def test_outage_run(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         write_spec(spec_path, mode="outage", gamma0=1.0,
