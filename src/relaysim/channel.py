@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_int, is_number
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,11 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("n_s", "n_r", "n_d"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not is_int(v) or v < 1:
                 raise InvalidParameterError(f"{name} must be a positive integer, got {v!r}")
         for name in ("lambda_sd", "lambda_sr", "lambda_rd", "snr"):
             v = getattr(self, name)
-            if not 1e-30 <= v <= 1e30:
+            if not is_number(v) or not 1e-30 <= v <= 1e30:
                 raise InvalidParameterError(f"{name} must be in [1e-30, 1e30], got {v!r}")
 
     def with_snr(self, snr: float) -> "SystemConfig":

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .channel import SystemConfig, config_from_mean_snrs_db
-from .errors import InsufficientStatisticsError, InvalidParameterError
+from .errors import (InsufficientStatisticsError, InvalidParameterError, is_int, is_number,
+                     is_positive)
 from .montecarlo import fit_diversity, run_ber_points, run_outage_points, sweep_workers
 from .protocol import feedback_budget
 from .receiver import closed_form_check
@@ -69,19 +70,6 @@ def load_spec(path: str, overrides: dict | None = None) -> tuple[dict | None, li
     return spec, validate_spec({**spec, **(overrides or {})})
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    """A finite JSON number (bools, NaN and infinities excluded)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_positive(v) -> bool:
-    return _is_number(v) and v > 0
-
-
 class _Key(NamedTuple):
     """A scalar spec key; a bad value gets "<field>: must be <rule>, got <value>"."""
     readers: tuple[str, ...]  # the modes (top level) or sweep axes that read it
@@ -92,22 +80,22 @@ class _Key(NamedTuple):
 
 _REQUIRED = object()  # the default of a key that must be given wherever it is read
 _KEYS = {
-    "trials": _Key(_MODES, _REQUIRED, lambda v: _is_int(v) and 1 <= v <= MAX_TRIALS,
+    "trials": _Key(_MODES, _REQUIRED, lambda v: is_int(v) and 1 <= v <= MAX_TRIALS,
                    f"an integer in [1, {MAX_TRIALS}] "
                    f"(2^{POINT_STRIDE.bit_length() - 1} chunks of {CHUNK})"),
-    "seed": _Key(_MODES, 0, lambda v: _is_int(v) and 0 <= v < 2**64,
+    "seed": _Key(_MODES, 0, lambda v: is_int(v) and 0 <= v < 2**64,
                  "an unsigned 64-bit integer"),
-    "gamma0": _Key(("outage", "diversity"), _REQUIRED, _is_positive, "a finite positive number"),
-    "early_stop_errors": _Key(_MODES, None, lambda v: v is None or _is_int(v) and v >= 1,
+    "gamma0": _Key(("outage", "diversity"), _REQUIRED, is_positive, "a finite positive number"),
+    "early_stop_errors": _Key(_MODES, None, lambda v: v is None or is_int(v) and v >= 1,
                               "an integer >= 1 or null"),
     "fit_window": _Key(("diversity",), None, lambda v: v is None or (
-        isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v)) and v[0] < v[1]),
+        isinstance(v, list) and len(v) == 2 and all(map(is_positive, v)) and v[0] < v[1]),
         "[low, high] with 0 < low < high, or null"),
 }
 _SWEEP_KEYS = {
     **dict.fromkeys(("lambda_sd", "lambda_sr", "lambda_rd"), _Key(
-        ("transmit-snr-db",), 1.0, _is_positive, "a finite positive number")),
-    "relay_mean_snr_db": _Key(("mean-direct-snr-db",), 2.0, _is_number, "a finite number"),
+        ("transmit-snr-db",), 1.0, is_positive, "a finite positive number")),
+    "relay_mean_snr_db": _Key(("mean-direct-snr-db",), 2.0, is_number, "a finite number"),
     "snr_reference": _Key(("mean-direct-snr-db",), "per-pair",
                           lambda v: v in ("per-pair", "aggregate"), "'per-pair' or 'aggregate'"),
 }
@@ -144,8 +132,7 @@ def validate_spec(spec: dict) -> list[str]:
         diags.append("system: required object with n_s, n_r, n_d")
     else:
         diags += [f"system.{key}: unknown key" for key in system if key not in _SYSTEM_KEYS]
-        bad = [key for key in _SYSTEM_KEYS
-               if not _is_int(system.get(key)) or system[key] < 1]
+        bad = [key for key in _SYSTEM_KEYS if not is_int(system.get(key)) or system[key] < 1]
         for key in bad:
             diags.append(f"system.{key}: must be an integer >= 1, got {system.get(key)!r}")
         if not bad:
@@ -174,8 +161,7 @@ def validate_spec(spec: dict) -> list[str]:
         diags += _check_keys(sweep, _SWEEP_KEYS, ("axis", "values"), "axis",
                              axis if axis in _AXES else None, "sweep.")
         values = sweep.get("values")
-        if not isinstance(values, list) or len(values) < 1 or \
-                not all(_is_number(v) for v in values):
+        if not isinstance(values, list) or not values or not all(map(is_number, values)):
             diags.append("sweep.values: required list of finite numbers")
         elif any(b <= a for a, b in zip(values, values[1:])):
             diags.append("sweep.values: must be strictly increasing")
@@ -296,9 +282,10 @@ def _run_experiment(args) -> int:
         rows = run_outage_points(points, spec["strategies"], float(run["gamma0"]), trials,
                                  seed, threads, early)
     fits = {}
-    for j, strategy in enumerate(spec["strategies"] if mode == "diversity" else []):
-        try:  # the rows are strategy-major: one block of len(points) per strategy
-            fit = fit_diversity(rows[j * len(points):][:len(points)], run["fit_window"])
+    for strategy in spec["strategies"] if mode == "diversity" else []:
+        try:  # keyed by point: a strategy listed twice has two identical rows per point
+            fit = fit_diversity({p.snr_db: p for p in rows if p.strategy == strategy}.values(),
+                                run["fit_window"])
         except InsufficientStatisticsError as exc:
             print(f"trials: cannot fit the {strategy} diversity slope ({exc}); raise "
                   "trials, widen fit_window or spread sweep.values", file=sys.stderr)
@@ -310,7 +297,7 @@ def _run_experiment(args) -> int:
     wall = time.monotonic() - t0
 
     manifest = {"spec": spec, "seed": seed, "trials": trials, "threads": threads,
-                "workers": sweep_workers(threads, len(spec["strategies"]) * len(points), trials),
+                "workers": sweep_workers(threads, len(rows), trials),
                 "wall_time_s": round(wall, 3), "version": __version__,
                 "stream_format": STREAM_FORMAT, "numpy": np.__version__,
                 "csv": os.path.basename(out_path)}

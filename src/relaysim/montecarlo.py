@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .channel import SystemConfig
-from .errors import InsufficientStatisticsError, InvalidParameterError
+from .errors import InsufficientStatisticsError, InvalidParameterError, is_int, is_positive
 from .numerics import (ROW_BLOCK, GaussianBlocks, RngStream, dominant_singular_pair_batch,
                        gaussian_scale, gram_top_eigenvalue_bounds, re_inner, row_blocks)
 from .relaying import af_constants
@@ -113,8 +113,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 
 def diversity_order(n_s: int, n_r: int, n_d: int) -> int:
     """Full diversity order of the selection scheme: N_S*N_D + N_R*min(N_S, N_D)."""
-    if min(n_s, n_r, n_d) < 1:
-        raise InvalidParameterError("antenna counts must be >= 1")
+    if not all(is_int(n) and n >= 1 for n in (n_s, n_r, n_d)):
+        raise InvalidParameterError(f"antenna counts must be integers >= 1, got {(n_s, n_r, n_d)}")
     return n_s * n_d + n_r * min(n_s, n_d)
 
 
@@ -156,8 +156,8 @@ def select(cfg: SystemConfig, strategy: str, g_sd, g_sr, g_rd, h_rd):
         sigma, v = dominant_singular_pair_batch(h_rd)
         per_i = g_sd + gamma_srd(g_sr, (cfg.snr * sigma * sigma)[:, None])
     elif strategy == "fixed-antenna":
-        i = k = np.zeros(rows.size, dtype=int)
-        return i, k, None, g_sd[:, 0] + gamma_srd(g_sr[:, 0], g_rd[:, 0])
+        k = np.zeros(rows.size, dtype=int)
+        per_i = g_sd[:, :1] + gamma_srd(g_sr[:, :1], g_rd[:, :1])
     else:
         raise InvalidParameterError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
     i = np.argmax(per_i, axis=1)
@@ -382,13 +382,14 @@ def _sweep(points: Sequence[tuple[float, SystemConfig]], strategies: Sequence[st
     results for it are discarded.  One worker therefore runs exactly the
     chunks used, in (strategy, point, chunk) order.
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise InvalidParameterError(f"trials_per_point must be in [1, {MAX_TRIALS}], got {trials}")
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
-    if early_stop_errors is not None and early_stop_errors < 1:
+    if not (is_int(trials) and 1 <= trials <= MAX_TRIALS):
         raise InvalidParameterError(
-            f"early_stop_errors must be >= 1 or None, got {early_stop_errors}")
+            f"trials_per_point must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
+    if not (is_int(threads) and threads >= 1):
+        raise InvalidParameterError(f"threads must be an integer >= 1, got {threads!r}")
+    if not (early_stop_errors is None or is_int(early_stop_errors) and early_stop_errors >= 1):
+        raise InvalidParameterError(
+            f"early_stop_errors must be an integer >= 1 or None, got {early_stop_errors!r}")
     if isinstance(strategies, str):
         raise InvalidParameterError(
             f"strategies must be a list of strategy names, got the string {strategies!r}")
@@ -483,8 +484,8 @@ def run_outage_points(points: Sequence[tuple[float, SystemConfig]], strategies: 
     Outage is evaluated on the closed-form post-SNR of the selected strategy;
     no symbols are simulated.
     """
-    if gamma0 <= 0 or not math.isfinite(gamma0):
-        raise InvalidParameterError(f"gamma0 must be finite and > 0, got {gamma0}")
+    if not is_positive(gamma0):
+        raise InvalidParameterError(f"gamma0 must be a finite positive number, got {gamma0!r}")
     results = _sweep(points, strategies, trials_per_point, seed, threads, early_stop_errors,
                      lambda cfg, s, stream, n: _outage_chunk(cfg, s, gamma0, stream, n))
     return [OutagePoint(snr_db=db, strategy=strategy, gamma0=gamma0, trials=used,

@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidParameterError
+from .errors import DegenerateInputError, InvalidParameterError, is_int, is_positive
 
 # Rows per block of the batched kernels.  A block's temporaries stay small
 # enough for glibc's allocator to reuse them block after block, where whole
@@ -39,10 +39,9 @@ class RngStream:
     index: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.seed < 2**64):
-            raise InvalidParameterError(f"seed must be a 64-bit unsigned int, got {self.seed}")
-        if not (0 <= self.index < 2**64):
-            raise InvalidParameterError(f"stream index must be a 64-bit unsigned int, got {self.index}")
+        for name in ("seed", "index"):
+            if not (is_int(v := getattr(self, name)) and 0 <= v < 2**64):
+                raise InvalidParameterError(f"{name} must be a 64-bit unsigned int, got {v!r}")
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.index], dtype=np.uint64)
@@ -92,9 +91,9 @@ def sample_gaussian_blocks(rng, *shape: int, variance: float = 1.0) -> GaussianB
     the same stream return the same array) or a ``numpy.random.Generator``
     (which is advanced in place).
     """
-    if not np.isfinite(variance) or variance <= 0:
-        raise InvalidParameterError(f"variance must be finite and > 0, got {variance}")
-    if not shape or min(shape) < 1:
+    if not is_positive(variance):
+        raise InvalidParameterError(f"variance must be a finite positive number, got {variance!r}")
+    if not shape or not all(is_int(m) and m >= 1 for m in shape):
         raise InvalidParameterError(f"dimensions must be positive, got {shape}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     re = gen.standard_normal(shape)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig
-from .errors import InvalidParameterError, NumericalError
+from .errors import InvalidParameterError, NumericalError, is_int
 from .numerics import GaussianBlocks, RngStream, re_inner, row_blocks, sample_gaussian_blocks
 from .relaying import EquivalentChannel, stacked_channel
 from .selection import mmse_post_snr, mrc_post_snr
@@ -108,8 +108,8 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
     the drawn blocks.  n_s is only validated.
     """
     SystemConfig(n_s, n_r, n_d, snr=snr)  # raises on bad sizes or snr
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if not is_int(trials) or trials < 1:
+        raise InvalidParameterError(f"trials must be an integer >= 1, got {trials!r}")
     gen = RngStream(seed, stream_index).generator()
     sizes = (n_d, n_r, n_d)  # h_sd,i, h_sr,i, h_rd,k
     worst = np.zeros(2)  # (MMSE, MRC)

@@ -8,13 +8,12 @@ is summarized by a stacked equivalent channel with spatially colored noise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization, SystemConfig
-from .errors import DegenerateInputError, InvalidParameterError
+from .errors import DegenerateInputError, InvalidParameterError, is_number, is_positive
 from .numerics import dominant_singular_pair
 
 
@@ -77,10 +76,10 @@ def relay_gain(g: float, snr: float) -> float:
 
     g is the received channel power ||h_sr^(i)||^2.  alpha = 1/sqrt(g^2 + g/snr).
     """
-    if not math.isfinite(snr) or snr <= 0:
-        raise InvalidParameterError(f"snr must be finite and > 0, got {snr}")
-    if g < 0 or not math.isfinite(g):
-        raise InvalidParameterError(f"channel power must be finite and >= 0, got {g}")
+    if not is_positive(snr):
+        raise InvalidParameterError(f"snr must be a finite positive number, got {snr!r}")
+    if not is_number(g) or g < 0:
+        raise InvalidParameterError(f"channel power must be a finite number >= 0, got {g!r}")
     if g == 0:
         raise DegenerateInputError("relay receives nothing (zero source-relay channel)")
     return float(af_constants(g, snr)[2])

@@ -123,12 +123,15 @@ class TestValidateSpec:
          "sweep.snr_reference: applies only to axis 'mean-direct-snr-db'"),
         ({"sweep": {"axis": "sweep-db", "values": [0.0], "lambda_sd": 2.0}},
          "sweep.axis: must be one of ('transmit-snr-db', 'mean-direct-snr-db'), got 'sweep-db'"),
+        # a number a float cannot hold; math.isfinite would overflow on it
+        ({"mode": "outage", "gamma0": 10**400},
+         f"gamma0: must be a finite positive number, got {10**400}"),
     ], ids=["trials-bad", "seed-bad", "gamma0-bad", "early-stop-bad", "fit-window-bad",
             "lambda-sd-null", "lambda-sr-bad", "lambda-rd-bad", "relay-db-null",
             "reference-bad", "trials-null", "gamma0-null", "gamma0-unread",
             "fit-window-unread-ber", "fit-window-unread-outage", "lambda-sd-unread",
             "lambda-sr-unread", "lambda-rd-unread", "relay-db-unread", "reference-unread",
-            "axis-bad"])
+            "axis-bad", "gamma0-huge-int"])
     def test_key_rules(self, overrides, line):
         diags = validate_spec(make_spec(**overrides))
         assert diags == [line]
@@ -360,12 +363,16 @@ class TestRunExperiment:
     ("ber", {"gamma0": 5.0}, [], "gamma0"),
     ("ber", {"fit_window": [0.001, 0.1]}, [], "fit_window"),
     ("outage", {"fit_window": [0.001, 0.1]}, [], "fit_window"),
+    # integers too large for a float
+    ("outage", {"gamma0": 10**400}, [], "gamma0"),
+    ("outage", {"sweep": {"axis": "transmit-snr-db", "values": [0.0, 10**400]}}, [],
+     "sweep.values"),
 ], ids=["gamma0-nan", "n_s-bool", "relay-db-string", "values-inf", "snr-overflow",
         "gain-underflow", "trials-override", "seed-override", "diversity-one-point",
         "diversity-zero-outage", "system-too-large", "trials-past-substreams",
         "unknown-key", "unknown-system-key", "unknown-sweep-key", "lambda-on-mean-axis",
         "relay-db-on-transmit-axis", "reference-on-transmit-axis", "gamma0-in-ber",
-        "fit-window-in-ber", "fit-window-in-outage"])
+        "fit-window-in-ber", "fit-window-in-outage", "gamma0-huge-int", "values-huge-int"])
 def test_bad_run_input_exit_2(tmp_path, capsys, command, spec_overrides, argv, field):
     spec_path = tmp_path / "spec.json"
     gamma0 = {} if command == "ber" else {"gamma0": 1.0}

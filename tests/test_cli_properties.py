@@ -82,6 +82,10 @@ def specs(draw):
                "strategies": ["optimal-relay-filter"],
                "sweep": {"axis": "transmit-snr-db", "values": [0.0], "lambda_rd": 1e30},
                "trials": 1, "seed": 10000})  # the top accepted gain, through the eigensolve
+@example(spec={"mode": "outage", "system": {"n_s": 1, "n_r": 1, "n_d": 1},
+               "strategies": ["mmse-receiver"],
+               "sweep": {"axis": "transmit-snr-db", "values": [0.0]},
+               "trials": 1, "seed": 0, "gamma0": 10**400})  # once an OverflowError in validate
 def test_accepted_spec_runs_or_exits_2(spec):
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = os.path.join(tmp, "spec.json")

@@ -25,6 +25,7 @@ from relaysim.montecarlo import (
     BerPoint,
     OutagePoint,
     _ber_chunk,
+    _chunk_rows,
     _gains,
     _outage_chunk,
     diversity_order,
@@ -509,6 +510,20 @@ def test_gains_match_link_snrs(dims):
         snrs = link_snrs(cfg, ChannelRealization(*(h[t] for h in mats)))
         for g, ref in zip(gains, (snrs.gamma_sd, snrs.gamma_sr, snrs.gamma_rd)):
             np.testing.assert_allclose(g[t], ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("read", [(), (2,)])
+@pytest.mark.parametrize("dims", [(1, 1, 1), (3, 3, 3), (4, 4, 4), (2, 5, 3)])
+def test_outage_walker_reduces_gains_as_they_land(dims, read):
+    # the outage kernel's gains: the walker reduces each half of a link to
+    # per-antenna sums as it lands, and they must equal _gains of the whole draw
+    cfg = SystemConfig(*dims, lambda_sd=0.7, lambda_sr=1.9, lambda_rd=0.2, snr=3.0)
+    rng, n = RngStream(9, 4), ROW_BLOCK + 77
+    rows = list(_chunk_rows(cfg, rng, n, False, read))
+    assert len(rows) == 2
+    walked = [np.concatenate(blocks) for blocks in zip(*(r[:3] for r in rows))]
+    for got, want in zip(walked, _gains(cfg, *draw(cfg, rng.generator(), n)), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 # Fixed-seed counts of stream format 1 (seed 2026, 2 * CHUNK + 500 trials per
