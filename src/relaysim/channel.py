@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, is_int, is_number
+from .errors import InvalidParameterError, is_int, is_number, is_positive
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class SystemConfig:
                 raise InvalidParameterError(f"{name} must be in [1e-30, 1e30], got {v!r}")
 
     def with_snr(self, snr: float) -> "SystemConfig":
+        if not is_positive(snr):
+            raise InvalidParameterError(f"snr must be a finite positive number, got {snr!r}")
         return replace(self, snr=float(snr))
 
 

@@ -39,11 +39,12 @@ EXIT_BAD_SPEC = 2
 EXIT_UNWRITABLE = 3
 
 # Largest n_d*n_s + n_r*n_s + n_d*n_r a run accepts.  A BER sweep worker keeps
-# every half of one chunk's draws but the last (a row block) for the whole
-# sweep: a real and an imaginary float64 per antenna pair and trial, so 1024
-# pairs hold 256 MiB per worker, and the noise, under 2*(n_r + 2*n_d) float64
-# per trial, adds at most as much again.  An outage worker keeps the gains and
-# a row block (plus h_rd's real half under optimal-relay-filter), which is less.
+# h_sd, h_sr and h_rd's real half of one chunk for the whole sweep: two
+# float64 per antenna pair and trial but n_d*n_r, so 1024 pairs hold 128-256
+# MiB per worker; the chain's per-trial antennas, sums and r (n_d + 8 float64,
+# 2*n_d + 8 under optimal-relay-filter) add little.  An outage worker keeps
+# the gains and a row block (h_rd's real half in place of its gains under
+# optimal-relay-filter), which is less.
 MAX_ANTENNA_PAIRS = 1024
 
 _MODES = ("ber", "outage", "diversity")

@@ -11,16 +11,18 @@ arrays remain only for the ``optimal-relay-filter`` relay beam.
 Both kernels draw their chunk of trials, whose substream and draws
 :mod:`~relaysim.stream` defines, one row block at a time into their worker
 thread's workspace (:func:`_chunk_rows`), which lives as long as the thread
-and never shrinks.  A BER worker holds every half but the chunk's last; an
-outage worker reduces each link to its gains as it lands and holds those and
-a row block (and, under ``optimal-relay-filter``, h_rd's real half).  Then
-everything runs on blocks of :data:`~relaysim.numerics.ROW_BLOCK` rows, as
-the last half lands each of them.  So each chunk reuses the same memory,
-and the allocator keeps its small temporaries instead of returning them to
-the kernel.  Kernels return only counts; no view of the workspace leaves a
-chunk.  Chunk boundaries never depend on the worker count, and counts are
-summed in chunk order, so results are bit-identical for any number of
-threads.
+and never shrinks, and select on each row block of h_rd's imaginary half as
+it lands.  An outage worker reduces each link to its gains as it lands and
+holds those and a row block (under ``optimal-relay-filter`` h_rd's real half
+in place of its gains).  A BER worker holds h_sd, h_sr and h_rd's real half,
+keeps of the selection the antennas and r's imaginary half (the beam), and
+reduces each row block of a later half at once to the sums the chain reads;
+the chain runs as the chunk's last half lands each row block.  So each chunk
+reuses the same memory, and the allocator keeps its small temporaries
+instead of returning them to the kernel.  Kernels return only counts; no
+view of the workspace leaves a chunk.  Chunk boundaries never depend on the
+worker count, and counts are summed in chunk order, so results are
+bit-identical for any number of threads.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .channel import SystemConfig
 from .errors import InsufficientStatisticsError, InvalidParameterError, is_int, is_positive
 from .numerics import (ROW_BLOCK, GaussianBlocks, RngStream, dominant_singular_pair_batch,
-                       gaussian_scale, gram_top_eigenvalue_bounds, re_inner, row_blocks)
+                       gaussian_scale, gram_top_eigenvalue_bounds, row_blocks)
 from .relaying import af_constants
 from .selection import STRATEGIES, gamma_srd, mrc_post_snr
 from .stream import CHUNK, MAX_TRIALS, chunk_stream, layout
@@ -188,54 +190,62 @@ def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def _chunk_rows(cfg: SystemConfig, stream: RngStream, n: int, ber: bool,
-                read: Sequence[int]) -> Iterator[tuple]:
+                read: Sequence[int]) -> Iterator:
     """The n trials of ``stream.draw(cfg, stream.generator(), n, ber)``, one
     row block at a time.
 
     Each half (real or imaginary block) of :func:`~relaysim.stream.layout`
     is drawn in order, one :data:`~relaysim.numerics.ROW_BLOCK` at a time,
-    into this thread's workspace: chunk-sized for the entries at the layout
-    indices ``read``, except the chunk's last half, and into one row block
-    otherwise.  A link not kept whole is reduced as it lands into chunk-sized
-    gains, the per-antenna sums of :func:`_gains`.  As the last half lands a
-    row block, this yields its gains, then its rows of the entries read.
+    into this thread's workspace: chunk-sized for the halves of the links at
+    the layout indices ``read``, but h_rd's imaginary one, and into one row
+    block otherwise.  A link not read is reduced as it lands into
+    chunk-sized gains, the per-antenna sums of :func:`_gains`; a link read
+    gets its gains per row block from its halves.  As h_rd's imaginary half
+    lands a row block, this yields the block's gains, then its rows of the
+    links read; the rows of the kept halves stay valid through the chunk,
+    h_rd's imaginary ones only until the next draw.  Under ``ber`` it then
+    yields the bits, and (entry, half, rows, block) as each row block of
+    each later half lands in the row block.
     """
     entries = layout(cfg, ber)
-    last = len(entries) - 1
-    # chunk-sized: the halves of the entries read, but the chunk's last half
-    kept = [(j, half) for j in read if entries[j] for half in "ri" if (j, half) != (last, "i")]
-    reduced = [j for j in range(3) if (j, "i") not in kept]  # the links not kept whole
+    kept = [(j, half) for j in read for half in "ri" if (j, half) != (2, "i")]
+    reduced = [j for j in range(3) if j not in read]
     size = [math.prod(e[1:]) if e else 0 for e in entries]
     rows = max(n, CHUNK)
-    # the gains, the row block, a row block of per-antenna sums, the halves kept
-    arrays = _workspace([rows * entries[j][2] if j in reduced else 0 for j in range(3)]
-                        + [ROW_BLOCK * max(size[j] for j in range(last + 1) if (j, "i") not in kept),
-                           ROW_BLOCK * max((entries[j][2] for j in reduced), default=0)]
+    # entry 0 is _ber_chunk's; then the row block, a row block of per-antenna
+    # sums, the gains of the links not read and the halves kept
+    arrays = _workspace([0, ROW_BLOCK * max(size[j] for j, e in enumerate(entries)
+                                            if e and (j, "i") not in kept),
+                         ROW_BLOCK * max((entries[j][2] for j in reduced), default=0)]
+                        + [rows * entries[j][2] for j in reduced]
                         + [rows * size[j] for j, _ in kept])
-    gains = {j: _view(arrays[j], n, entries[j][2]) for j in reduced}
-    block, scratch = arrays[3:5]
-    halves = {(j, half): _view(a, n, *entries[j][1:]) for (j, half), a in zip(kept, arrays[5:])}
+    block, scratch = arrays[1:3]
+    gains = {j: _view(a, n, entries[j][2]) for j, a in zip(reduced, arrays[3:])}
+    halves = {(j, half): _view(a, n, *entries[j][1:])
+              for (j, half), a in zip(kept, arrays[3 + len(reduced):])}
     scales = [gaussian_scale(e[0]) if e else None for e in entries]
     gen = stream.generator()
     for j, entry in enumerate(entries):
         if entry is None:
-            bits = gen.integers(0, 2, n)
+            yield gen.integers(0, 2, n)
             continue
         for half in "ri":
             for b in row_blocks(n):
                 m = b.stop - b.start
                 out = halves[j, half][b] if (j, half) in halves else _view(block, m, *entry[1:])
                 x = gen.standard_normal(out.shape, out=out)
-                if j in reduced and half == "r":
+                if j > 2:
+                    yield j, half, b, x
+                elif j in reduced and half == "r":
                     np.einsum(_RX_SUM, x, x, out=gains[j][b])
                 elif j in reduced:
                     gains[j][b] += np.einsum(_RX_SUM, x, x, out=_view(scratch, m, entry[-1]))
                     gains[j][b] *= cfg.snr * scales[j] ** 2
-                if (j, half) == (last, "i"):
-                    yield (*(gains[i][b] for i in reduced),
-                           *(bits[b] if entries[i] is None else GaussianBlocks(
-                               scales[i], halves[i, "r"][b], x if i == last else halves[i, "i"][b])
-                             for i in read))
+                if (j, half) == (2, "i"):
+                    links = [GaussianBlocks(scales[i], halves[i, "r"][b],
+                                            x if i == 2 else halves[i, "i"][b]) for i in read]
+                    own = dict(zip(read, _gains(cfg, *links)))
+                    yield (*(own[i] if i in own else gains[i][b] for i in range(3)), *links)
 
 
 def _outage_chunk(cfg: SystemConfig, strategy: str, gamma0: float,
@@ -300,52 +310,97 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, x.T)
 
 
-def _columns(link: GaussianBlocks, j) -> GaussianBlocks:
-    """Column j[t] of every trial t of a drawn link, still as its blocks."""
-    rows = np.arange(len(j))
-    return GaussianBlocks(link.scale, *(np.swapaxes(b, 1, 2)[rows, j] for b in (link.re, link.im)))
+def _column(half: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Column j[t] of every trial t of a drawn half (T, N_rx, N_tx), as (T, N_rx)."""
+    return np.swapaxes(half, 1, 2)[np.arange(len(j)), j]
 
 
 def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> int:
     """Simulate n one-symbol blocks through the two-slot chain and count the
-    errors, one row block of :func:`_chunk_rows` at a time; the chain reads
-    every entry of the chunk."""
-    read = range(len(layout(cfg, ber=True)))
-    return sum(_ber_rows(cfg, strategy, *rows) for rows in _chunk_rows(cfg, stream, n, True, read))
+    errors, as the halves of :func:`_chunk_rows` land.
+
+    Detection reads only Re(w^H y), so of each noise vector the chain reads
+    two reals per trial: Re(x^H noise) and the squared norm of the column x
+    it meets, h_sr,i for n_r, h_sd,i for n_d1 and r for n_d2.  r is the
+    relay's transmit direction as the destination hears it: column k of
+    H_RD, or the beam H_RD v under ``optimal-relay-filter``.  Selection runs
+    on each row block of h_rd's imaginary half and keeps i, k and r's
+    imaginary half (the whole beam).  Each row block of a noise half is
+    reduced as it lands to its share of both reals, from one gather of x's
+    half, and the chain runs on each row block of the chunk's last half.
+    """
+    relay, beam = strategy != "direct-only", strategy == "optimal-relay-filter"
+    n_d = cfg.n_d
+    width = 2 * n_d if beam else n_d
+    # workspace entry 0, per trial: i and k, the two reals per noise vector
+    # (unscaled sums over both halves), r's imaginary half or the beam
+    state = _workspace([max(n, CHUNK) * (8 + width)])[0]
+    ik = state[:2 * n].view(np.int64).reshape(2, n)
+    sums = state[2 * n:8 * n].reshape(3, 2, n)
+    r = state[8 * n:(8 + width) * n]
+    r = r.view(complex).reshape(n, n_d) if beam else r.reshape(n, n_d)
+    walk = _chunk_rows(cfg, stream, n, True, (0, 1, 2))
+    links = []  # per row block, its rows of h_sr, h_sd and h_rd's real half
+    # the walker yields once per row block of h_rd's imaginary half, then
+    # the bits and the later halves' row blocks
+    for b, (g_sd, g_sr, g_rd, sd, sr, rd) in zip(row_blocks(n), walk):
+        h_rd = rd.values() if beam else None
+        ik[0, b], k, v, _ = select(cfg, strategy, g_sd, g_sr, g_rd, h_rd)
+        if beam:
+            r[b] = np.einsum("tdr,tr->td", h_rd, v)
+        elif k is not None:
+            ik[1, b] = k
+            r[b] = _column(rd.im, k)
+        links.append((sr, sd, rd.re))
+    scales = (sr.scale, sd.scale, 1.0 if beam else rd.scale)
+    noise = [gaussian_scale(e[0]) for e in layout(cfg, ber=True)[4:]]
+    bits = next(walk)
+    errors = 0
+    for j, half, b, x in walk:  # n_r, n_d1, n_d2: x meets h_sr,i, h_sd,i, r
+        vec = j - 4
+        if relay or vec == 1:
+            if vec == 2 and beam:
+                y = r[b].real if half == "r" else r[b].imag
+            elif vec == 2 and half == "i":
+                y = r[b]
+            else:
+                sr, sd, rd_re = links[b.start // ROW_BLOCK]
+                rows = (sr.re, sd.re, rd_re) if half == "r" else (sr.im, sd.im)
+                y = _column(rows[vec], ik[1 if vec == 2 else 0, b])
+            for acc, part in zip(sums[vec, :, b], (np.einsum("ti,ti->t", y, y),
+                                                 np.einsum("ti,ti->t", y, x))):
+                acc[:] = part if half == "r" else acc + part
+        if (j, half) == (6, "i"):
+            errors += _ber_rows(cfg, strategy, bits[b], sums[:, :, b], scales, noise)
+    return errors
 
 
-def _ber_rows(cfg: SystemConfig, strategy: str, sd: GaussianBlocks, sr: GaussianBlocks,
-              rd: GaussianBlocks, bits: np.ndarray, n_r: GaussianBlocks,
-              n_d1: GaussianBlocks, n_d2: GaussianBlocks) -> int:
-    """The bit errors of the trials of one row block.  Detection reads only
-    Re(w^H y), taken from the real and imaginary blocks."""
-    h_rd = rd.values() if strategy == "optimal-relay-filter" else None
-    i, k, v, _ = select(cfg, strategy, *_gains(cfg, sd, sr, rd), h_rd)
+def _ber_rows(cfg: SystemConfig, strategy: str, bits: np.ndarray, sums: np.ndarray,
+              scales: Sequence[float], noise: Sequence[float]) -> int:
+    """The bit errors of the trials of one row block, from the sums of
+    :func:`_ber_chunk` for n_r, n_d1 and n_d2, and the scales of the columns
+    they meet and of the noise: Re(x^H y) is x.scale * y.scale times a sum,
+    as in :func:`~relaysim.numerics.re_inner`."""
+    (g_sr, p_r), (g_sd, p_d1), (g_r, p_d2) = sums
+    (c_sr, c_sd, c_r), (w_r, w_d1, w_d2) = scales, noise
 
     # first slot: the destination hears the selected source antenna directly
     s = (1.0 - 2.0 * bits) * math.sqrt(cfg.snr)
-    h_sd_i = _columns(sd, i)
-    stat = s * re_inner(h_sd_i, h_sd_i) + re_inner(h_sd_i, n_d1)
+    stat = s * (c_sd * c_sd * g_sd) + c_sd * w_d1 * p_d1
 
     if strategy != "direct-only":
         # relay: matched-filter combine, rescale, retransmit along r; only the
         # real part of the relayed symbol alpha * h_sr_i^H y_r reaches Re(stat)
-        h_sr_i = _columns(sr, i)
-        if v is None:
-            r = _columns(rd, k)
-        else:
-            beam = np.einsum("tdr,tr->td", h_rd, v)
-            r = GaussianBlocks(1.0, beam.real, beam.imag)
-        g = np.maximum(re_inner(h_sr_i, h_sr_i), 1e-300)  # measure-zero guard
+        g = np.maximum(c_sr * c_sr * g_sr, 1e-300)  # measure-zero guard
         a, c, alpha = af_constants(g, cfg.snr)
-        s_relay = alpha * (s * g + re_inner(h_sr_i, n_r))
-        r_power = re_inner(r, r)
+        s_relay = alpha * (s * g + c_sr * w_r * p_r)
+        r_power = c_r * c_r * g_r
 
         # destination: MRC weights the relayed slot by a; MMSE also whitens
         # the amplified relay noise (R_n^{-1} h, a positive multiple of the
         # MMSE filter)
         coef = a if strategy == "mrc-receiver" else a / (1.0 + c * r_power)
-        stat = stat + coef * (s_relay * r_power + re_inner(r, n_d2))
+        stat = stat + coef * (s_relay * r_power + c_r * w_d2 * p_d2)
     return int(np.count_nonzero((stat < 0) != bits.astype(bool)))
 
 

@@ -42,6 +42,18 @@ class TestSystemConfig:
         cfg = SystemConfig(1, 1, 1).with_snr(3.0)
         assert cfg.snr == 3.0
 
+    @pytest.mark.parametrize("snr", [np.float32(0.5), np.int64(2), 3, 1e-30])
+    def test_with_snr_takes_numbers(self, snr):
+        cfg = SystemConfig(2, 2, 2).with_snr(snr)
+        assert type(cfg.snr) is float and cfg.snr == float(snr)
+
+    @pytest.mark.parametrize("snr", [10**400, True, "3"])
+    def test_with_snr_rejects_non_numbers(self, snr):
+        # each was converted with float() before any check: a raw
+        # OverflowError, then runs at snr 1.0 and 3.0
+        with pytest.raises(InvalidParameterError, match="snr"):
+            SystemConfig(2, 2, 2).with_snr(snr)
+
 
 class TestDrawRealization:
     def test_shapes(self):

@@ -923,6 +923,16 @@ def test_ber_chunk_matches_scalar_path_across_row_blocks(strategy):
     assert _ber_chunk(cfg, strategy, stream, n) == scalar_ber_errors(cfg, strategy, stream, n)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_ber_chunk_matches_scalar_path_over_three_row_blocks(strategy):
+    # two full row blocks and a short last one: each noise half is reduced
+    # into the per-trial sums one row block at a time, real before imaginary
+    cfg = SystemConfig(3, 4, 2, snr=10 ** (-0.5))
+    stream = RngStream(41, 2)
+    n = 2 * ROW_BLOCK + 77
+    assert _ber_chunk(cfg, strategy, stream, n) == scalar_ber_errors(cfg, strategy, stream, n)
+
+
 # snr and each lambda log-uniform over the whole SystemConfig range
 log_level = st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e)
 
@@ -979,8 +989,8 @@ def kernel_call(kernel, dims, strategy, snr_db, stream, n):
 @pytest.mark.parametrize("kernel, dims, strategy, snr_db", KERNEL_CASES)
 def test_chunk_allocation_budget(kernel, dims, strategy, snr_db):
     # the draws reuse the thread's workspace and the rest runs on row blocks,
-    # so a full chunk allocates under 3 MB beside its workspace (1.5-4.1 MiB
-    # for outage, 9 MiB for BER at 3x3x3)
+    # so a full chunk allocates under 3 MB beside its workspace (1.5-3.6 MiB
+    # for outage, 7.3-7.7 MiB for BER at 3x3x3)
     call = kernel_call(kernel, dims, strategy, snr_db, RngStream(12, 3), CHUNK)
     assert traced_peak_bytes(call) < 3 * 2**20
 
@@ -1049,6 +1059,26 @@ def test_ber_worker_keeps_every_half_but_the_last(dims, strategy):
     n_s, n_r, n_d = dims
     per_trial = 2 * (n_d * n_s + n_r * n_s + n_d * n_r + n_r + 2 * n_d) - n_d
     assert left <= 8 * (CHUNK * per_trial + ROW_BLOCK * (n_d + max(n_s, n_r))) + 2**14
+
+
+@pytest.mark.parametrize("dims, strategy", [
+    *(((3, 3, 3), s) for s in ("mmse-receiver", "optimal-relay-filter")),
+    *(((4, 4, 4), s) for s in ("mrc-receiver", "optimal-relay-filter")),
+    ((2, 5, 3), "direct-only"), ((2, 5, 3), "fixed-antenna")])
+def test_ber_worker_keeps_the_links_and_the_chain_sums(dims, strategy):
+    # selection runs as h_rd's imaginary half lands, and each later half is
+    # reduced one row block at a time, so a worker keeps h_sd, h_sr and h_rd's
+    # real half (2*n_s*(n_d + n_r) + n_d*n_r float64 per trial), at most
+    # 2*n_d + 9 more per trial for r's imaginary half or the beam, the
+    # indices, the bits and the sums the chain reads, and the row block, of
+    # which h_rd's imaginary half needs the most.  The 16 KiB of slack covers
+    # the workspace's list and array objects
+    call = kernel_call("ber", dims, strategy, -4.5, RngStream(12, 3), CHUNK)
+    run_on_fresh_thread([call])
+    left, _ = run_on_fresh_thread([lambda: traced_bytes(call)])[0]
+    n_s, n_r, n_d = dims
+    per_trial = 2 * n_s * (n_d + n_r) + n_d * n_r + 2 * n_d + 9
+    assert left <= 8 * (CHUNK * per_trial + ROW_BLOCK * n_d * n_r) + 2**14
 
 
 def test_outage_workspace_kept_when_a_call_needs_less():
