@@ -50,6 +50,11 @@ from .stream import CHUNK, MAX_TRIALS, chunk_stream, layout
 _BRACKET_MARGIN = 1e-9
 _WORKSPACE = threading.local()  # per-thread kernel buffers, see _workspace
 _RX_SUM = "nij,nij->nj"  # per-antenna sums of squares over a link's receive axis
+# Rows per slice of the BER relay beam: its complex H_RD, Gram matrices and
+# eigenvectors.  On a whole row block they took about 51 MiB per worker at
+# 16x16x16; numpy's eigh runs matrix by matrix, so slices give the same bits
+# at the same speed.
+_BEAM_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -325,9 +330,10 @@ def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> i
     relay's transmit direction as the destination hears it: column k of
     H_RD, or the beam H_RD v under ``optimal-relay-filter``.  Selection runs
     on each row block of h_rd's imaginary half and keeps i, k and r's
-    imaginary half (the whole beam).  Each row block of a noise half is
-    reduced as it lands to its share of both reals, from one gather of x's
-    half, and the chain runs on each row block of the chunk's last half.
+    imaginary half (the whole beam, built :data:`_BEAM_ROWS` rows at a
+    time).  Each row block of a noise half is reduced as it lands to its
+    share of both reals, from one gather of x's half, and the chain runs on
+    each row block of the chunk's last half.
     """
     relay, beam = strategy != "direct-only", strategy == "optimal-relay-filter"
     n_d = cfg.n_d
@@ -344,13 +350,15 @@ def _ber_chunk(cfg: SystemConfig, strategy: str, stream: RngStream, n: int) -> i
     # the walker yields once per row block of h_rd's imaginary half, then
     # the bits and the later halves' row blocks
     for b, (g_sd, g_sr, g_rd, sd, sr, rd) in zip(row_blocks(n), walk):
-        h_rd = rd.values() if beam else None
-        ik[0, b], k, v, _ = select(cfg, strategy, g_sd, g_sr, g_rd, h_rd)
-        if beam:
-            r[b] = np.einsum("tdr,tr->td", h_rd, v)
-        elif k is not None:
-            ik[1, b] = k
-            r[b] = _column(rd.im, k)
+        i, k_b, r_b = ik[0, b], ik[1, b], r[b]
+        for s in row_blocks(b.stop - b.start, _BEAM_ROWS if beam else ROW_BLOCK):
+            h_rd = rd.values(s) if beam else None
+            i[s], k, v, _ = select(cfg, strategy, g_sd[s], g_sr[s], g_rd[s], h_rd)
+            if beam:
+                r_b[s] = np.einsum("tdr,tr->td", h_rd, v)
+            elif k is not None:
+                k_b[s] = k
+                r_b[s] = _column(rd.im[s], k)
         links.append((sr, sd, rd.re))
     scales = (sr.scale, sd.scale, 1.0 if beam else rd.scale)
     noise = [gaussian_scale(e[0]) for e in layout(cfg, ber=True)[4:]]

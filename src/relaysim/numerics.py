@@ -1,5 +1,6 @@
 """Reproducible random sampling, the dominant singular pair of complex
-matrices, and trace bounds on its value.
+matrices, trace bounds on its value, and batched Hermitian positive definite
+solves.
 
 Draws are kept as real and imaginary blocks (:class:`GaussianBlocks`).  No
 routine mutates its inputs.  The samplers take an :class:`RngStream` or a
@@ -70,9 +71,9 @@ def re_inner(x: GaussianBlocks, y: GaussianBlocks):
                                 + np.einsum("ti,ti->t", x.im, y.im))
 
 
-def row_blocks(n: int) -> Iterator[slice]:
-    """Lazy consecutive slices of at most :data:`ROW_BLOCK` rows covering range(n)."""
-    return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
+def row_blocks(n: int, size: int = ROW_BLOCK) -> Iterator[slice]:
+    """Lazy consecutive slices of at most ``size`` rows covering range(n)."""
+    return (slice(lo, min(lo + size, n)) for lo in range(0, n, size))
 
 
 def gaussian_scale(variance: float) -> float:
@@ -185,3 +186,38 @@ def gram_top_eigenvalue_bounds(re: np.ndarray, im: np.ndarray,
     low = (np.sum(u * (a @ u - b @ v) + v * (a @ v + b @ u), axis=(1, 2))
            / np.sum(u * u + v * v, axis=(1, 2)))
     return low, high
+
+
+def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a_t x_t = b_t for every trial t of a batch of Hermitian positive
+    definite systems kept trial-last: ``a`` (n, n, T) and ``b`` (n, T);
+    returns x (n, T).
+
+    Gaussian elimination without pivoting, which is backward stable on
+    Hermitian positive definite matrices (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 10).  Every step is an operation on whole
+    length-T arrays, so the Python-level steps grow with n, not with T, where
+    ``np.linalg.solve`` on (T, n, n) makes one LAPACK call per trial.  Each
+    Schur complement of a Hermitian matrix is Hermitian, so only the upper
+    triangle of ``a`` and the real part of its diagonal are read, and each
+    row below a pivot is updated from its diagonal on.  A row's previous
+    entries are dropped as it is updated and each row of the triangular
+    factor once back substitution has used it.
+    """
+    n = len(b)
+    rows = [a[i, i:] for i in range(n)]  # row i of the current Schur complement, from column i
+    y = list(b)
+    for k in range(n - 1):
+        pivot = rows[k]
+        d = pivot[0].real
+        for i in range(k + 1, n):
+            m = pivot[i - k].conj() / d  # a_ik / a_kk, with a_ik = conj(a_ki)
+            rows[i] = rows[i] - m * pivot[i - k:]
+            y[i] = y[i] - m * y[k]
+    x = np.empty(np.shape(b), dtype=complex)
+    for k in reversed(range(n)):
+        u, acc = rows.pop(), y.pop()
+        for j in range(k + 1, n):
+            acc = acc - u[j - k] * x[j]
+        np.divide(acc, u[0].real, out=x[k])
+    return x

@@ -13,7 +13,8 @@ import numpy as np
 
 from .channel import SystemConfig
 from .errors import InvalidParameterError, NumericalError, is_int
-from .numerics import GaussianBlocks, RngStream, re_inner, row_blocks, sample_gaussian_blocks
+from .numerics import (GaussianBlocks, RngStream, re_inner, row_blocks,
+                       sample_gaussian_blocks, solve_hpd)
 from .relaying import EquivalentChannel, stacked_channel
 from .selection import mmse_post_snr, mrc_post_snr
 
@@ -99,13 +100,14 @@ def closed_form_check(n_s: int, n_r: int, n_d: int, snr: float,
     touches the closed forms.  It works on the two-slot model slot by slot:
     the noise slots are independent and the direct one is white, so
     R_n = diag(I, R_2), and only the relayed slot's R_2 = I + c r r^H (from
-    :func:`~relaysim.relaying.stacked_channel`) is built and solved
-    (:func:`_row_snrs`).  Under i.i.d. unit-gain Rayleigh links the pair's
-    columns h_sd,i (N_D), h_sr,i (N_R) and h_rd,k (N_D) are independent
-    CN(0, I) vectors, so each row block draws just these, in that order, from
-    the one generator of ``RngStream(seed, stream_index)``, and memory does
-    not grow with ``trials``.  The closed forms read their link gains from
-    the drawn blocks.  n_s is only validated.
+    :func:`~relaysim.relaying.stacked_channel`) is built and solved, for all
+    trials of a row block at once (:func:`_row_snrs`).  Under i.i.d.
+    unit-gain Rayleigh links the pair's columns h_sd,i (N_D), h_sr,i (N_R)
+    and h_rd,k (N_D) are independent CN(0, I) vectors, so each row block
+    draws just these, in that order, from the one generator of
+    ``RngStream(seed, stream_index)``, and memory does not grow with
+    ``trials``.  The closed forms read their link gains from the drawn
+    blocks.  n_s is only validated.
     """
     SystemConfig(n_s, n_r, n_d, snr=snr)  # raises on bad sizes or snr
     if not is_int(trials) or trials < 1:
@@ -124,28 +126,40 @@ def _row_snrs(sd: GaussianBlocks, sr: GaussianBlocks, rd: GaussianBlocks, snr: f
     """Per-trial post-SNRs of one row block: the numerical (MMSE, MRC) pair
     and the closed-form (MMSE, MRC) pair.
 
-    The MMSE combiner w = E_s R_n^{-1} h has the direct half E_s h_sd,i and
-    the relayed half w_2 from one batched solve R_2 w_2 = E_s a r; the MRC
-    combiner is h.
+    The numerical side is trial-last: each vector is (N_D, T) and R_2 is
+    (N_D, N_D, T), so every step works on length-T arrays and the
+    Python-level steps grow with N_D, not with T.  The MMSE combiner
+    w = E_s R_n^{-1} h has the direct half E_s h_sd,i and the relayed half
+    w_2 from R_2 w_2 = E_s a r, solved by Gaussian elimination on the explicit
+    R_2 (:func:`~relaysim.numerics.solve_hpd`); the MRC combiner is h.  Each
+    filter's output SNR E_s |w^H h|^2 / (|w_1|^2 + w_2^H R_2 w_2) is taken on
+    the same explicit R_2.  Neither step reads the closed forms or uses the
+    rank-one structure of R_2, so the check tests the closed forms instead of
+    restating them.
     """
+    n_d = sd.re.shape[1]
     g = re_inner(sr, sr)
-    h_1 = sd.values()
-    h, r_2 = stacked_channel(h_1, g, rd.values(), snr)
-    h_2 = h[:, h_1.shape[1]:]
-    w_2 = np.linalg.solve(r_2, snr * h_2[..., None])[..., 0]
-    numerical = (_slot_snr(snr * h_1, w_2, h_1, h_2, r_2, snr),
-                 _slot_snr(h_1, h_2, h_1, h_2, r_2, snr))
+    h, r_2 = stacked_channel(_trial_last(sd), g, _trial_last(rd), snr)
+    h_1, h_2 = h[:n_d], h[n_d:]
+    p = _inner(h_1, h_1).real  # |h_1|^2: w_1 = E_s h_1 (MMSE) or h_1 (MRC)
+    numerical = []
+    for e, w_2 in ((snr, solve_hpd(r_2, snr * h_2)), (1.0, h_2)):
+        r_w = sum(r_2[:, j] * w_2[j] for j in range(n_d))
+        signal = e * p + _inner(w_2, h_2)
+        noise = e * e * p + _inner(w_2, r_w).real
+        numerical.append(snr * (signal.real ** 2 + signal.imag ** 2) / noise)
     gains = (snr * re_inner(sd, sd), snr * g, snr * re_inner(rd, rd))
     return numerical, (mmse_post_snr(*gains), mrc_post_snr(*gains))
 
 
-def _slot_snr(w_1, w_2, h_1, h_2, r_2, snr: float) -> np.ndarray:
-    """Batched E_s|w_1^H h_1 + w_2^H h_2|^2 / (|w_1|^2 + w_2^H R_2 w_2): the
-    output SNR of each filter w = (w_1, w_2) under the noise covariance
-    diag(I, R_2).  Invariant to rescaling of each w."""
-    def inner(x, y):
-        return np.einsum("ti,ti->t", x.conj(), y)
+def _trial_last(x: GaussianBlocks) -> np.ndarray:
+    """The complex values of a (T, N) draw as a C-contiguous (N, T) array."""
+    out = np.empty(x.re.shape[::-1], dtype=complex)
+    out.real, out.imag = x.re.T, x.im.T
+    out *= x.scale
+    return out
 
-    signal = snr * np.abs(inner(w_1, h_1) + inner(w_2, h_2)) ** 2
-    noise = np.real(inner(w_1, w_1) + inner(w_2, (r_2 @ w_2[..., None])[..., 0]))
-    return signal / noise
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_t^H y_t per trial t of two trial-last (N, T) arrays."""
+    return np.sum(x.conj() * y, axis=0)

@@ -86,20 +86,22 @@ def relay_gain(g: float, snr: float) -> float:
 
 
 def stacked_channel(h_sd_i: np.ndarray, g, r_vec: np.ndarray, snr: float):
-    """Batched :class:`EquivalentChannel` model from the direct columns h_sd_i
-    (T, N_D), first-hop powers g (T,) and relayed path vectors r_vec (T, N_D).
+    """Batched :class:`EquivalentChannel` model, trial-last, from the direct
+    columns h_sd_i (N_D, T), first-hop powers g (T,) and relayed path vectors
+    r_vec (N_D, T).
 
-    Returns h (T, 2N_D) and the relayed slot's noise covariance
-    R_2 = I + c r r^H (T, N_D, N_D).  The two noise slots are independent and
+    Returns h (2N_D, T) and the relayed slot's noise covariance
+    R_2 = I + c r r^H (N_D, N_D, T), formed explicitly one row at a time,
+    each entry a length-T array.  The two noise slots are independent and
     the direct slot's covariance is the identity, so R_n = diag(I, R_2).
     """
-    n_d = h_sd_i.shape[1]
     a, c, _ = af_constants(g, snr)
-    h = np.concatenate([h_sd_i, a[:, None] * r_vec], axis=1)
-    r_2 = np.einsum("ti,tj->tij", r_vec, r_vec.conj())
-    r_2 *= c[:, None, None]
-    diag = np.arange(n_d)
-    r_2[:, diag, diag] += 1.0
+    h = np.concatenate([h_sd_i, a * r_vec])
+    r_conj = r_vec.conj()
+    r_2 = np.empty((len(r_vec), *r_vec.shape), dtype=complex)
+    for i, row in enumerate(r_2):
+        np.multiply(c * r_vec[i], r_conj, out=row)
+        row[i] += 1.0
     return h, r_2
 
 
@@ -110,11 +112,11 @@ def _equivalent(cfg: SystemConfig, ch: ChannelRealization, i: int, r_vec: np.nda
     g = float(np.sum(np.abs(ch.h_sr[:, i]) ** 2))
     if g == 0:
         raise DegenerateInputError("zero source-relay channel for antenna %d" % i)
-    h, r_2 = stacked_channel(ch.h_sd[None, :, i], [g], r_vec[None], cfg.snr)
+    h, r_2 = stacked_channel(ch.h_sd[:, i, None], [g], r_vec[:, None], cfg.snr)
     n_d = cfg.n_d
     r_n = np.eye(2 * n_d, dtype=complex)
-    r_n[n_d:, n_d:] = r_2[0]
-    return EquivalentChannel(h=h[0], r_n=r_n, source_antenna=i,
+    r_n[n_d:, n_d:] = r_2[..., 0]
+    return EquivalentChannel(h=h[:, 0], r_n=r_n, source_antenna=i,
                              relay_antenna=relay_antenna)
 
 

@@ -1081,6 +1081,18 @@ def test_ber_worker_keeps_the_links_and_the_chain_sums(dims, strategy):
     assert left <= 8 * (CHUNK * per_trial + ROW_BLOCK * n_d * n_r) + 2**14
 
 
+def test_ber_relay_beam_transient_memory_is_sliced():
+    # the beam's complex H_RD, Gram matrices and eigenvectors are built 512
+    # rows at a time, so at 16x16x16 a row block's chunk allocates about
+    # 8 MiB beside what it leaves on the thread (its workspace); on the
+    # whole row block at once they take 50 MiB
+    call = kernel_call("ber", (16, 16, 16), "optimal-relay-filter", -20.0, RngStream(12, 3),
+                       ROW_BLOCK)
+    run_on_fresh_thread([call])
+    left, peak = run_on_fresh_thread([lambda: traced_bytes(call)])[0]
+    assert peak - left <= 16 * 2**20
+
+
 def test_outage_workspace_kept_when_a_call_needs_less():
     # a thread that moves from optimal-relay-filter rows to mmse-receiver
     # rows on the same dims keeps its workspace: the same list of the same

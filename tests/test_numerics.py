@@ -12,6 +12,7 @@ from relaysim.numerics import (
     row_blocks,
     sample_gaussian_blocks,
     sample_complex_gaussian,
+    solve_hpd,
 )
 
 
@@ -67,6 +68,58 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert first == slice(0, ROW_BLOCK) and peak < 2**20
+
+    def test_size_sets_the_rows_per_slice(self):
+        assert list(row_blocks(1100, 512)) == [slice(0, 512), slice(512, 1024),
+                                               slice(1024, 1100)]
+
+
+def trial_major(x: np.ndarray) -> np.ndarray:
+    """A trial-last (..., T) array as (T, ...), the layout np.linalg takes."""
+    return np.moveaxis(x, -1, 0)
+
+
+class TestSolveHpd:
+    @pytest.mark.parametrize("trials", [1, ROW_BLOCK + 77])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_lapack_on_identity_plus_rank_one(self, n, trials):
+        # R_2 = I + c r r^H with c|r|^2 from 1e-6 to 1e12, the condition
+        # number.  Both solves are backward stable, so their solutions differ
+        # by about eps times the condition number and no more
+        gen = np.random.default_rng(n * trials)
+        cond = np.logspace(-6, 12, trials)
+        r = sample_complex_gaussian(gen, n, trials)
+        c = cond / np.sum(np.abs(r) ** 2, axis=0)
+        a = (c * r)[:, None] * r.conj()
+        a[np.arange(n), np.arange(n)] += 1.0
+        for b in (3.0 * r, sample_complex_gaussian(gen, n, trials)):
+            x = solve_hpd(a, b)
+            ref = trial_major(np.linalg.solve(trial_major(a), trial_major(b)[..., None])[..., 0])
+            err = np.linalg.norm(x - ref, axis=0) / np.linalg.norm(ref, axis=0)
+            assert np.all(err <= 1e-14 * (1.0 + cond))
+            residual = np.einsum("ijt,jt->it", a, x) - b
+            scale = np.linalg.norm(trial_major(a), ord=2, axis=(1, 2)) * np.linalg.norm(x, axis=0)
+            assert np.all(np.linalg.norm(residual, axis=0) <= n * 1e-15 * scale)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_lapack_on_dense_systems(self, n):
+        gen = np.random.default_rng(n)
+        m = sample_complex_gaussian(gen, n, n, 500)
+        a = np.einsum("ikt,jkt->ijt", m, m.conj())
+        a[np.arange(n), np.arange(n)] += 0.1
+        b = sample_complex_gaussian(gen, n, 500)
+        ref = trial_major(np.linalg.solve(trial_major(a), trial_major(b)[..., None])[..., 0])
+        np.testing.assert_allclose(solve_hpd(a, b), ref, rtol=1e-9, atol=0)
+
+    def test_inputs_unchanged(self):
+        gen = np.random.default_rng(5)
+        r = sample_complex_gaussian(gen, 3, 40)
+        a = r[:, None] * r.conj()
+        a[np.arange(3), np.arange(3)] += 1.0
+        b = sample_complex_gaussian(gen, 3, 40)
+        a_copy, b_copy = a.copy(), b.copy()
+        solve_hpd(a, b)
+        assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
 
 
 class TestDominantSingularPair:

@@ -156,7 +156,7 @@ class TestClosedFormCheck:
             assert e_mrc <= 1e-9
 
     @pytest.mark.parametrize("snr", [0.01, 1.0, 100.0])
-    @pytest.mark.parametrize("n_d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_d", [1, 2, 3, 4, 6])
     def test_slot_solve_matches_full_covariance(self, n_d, snr):
         # the check solves only the relayed slot's N_D x N_D system; the
         # scalar filters on the full 2N_D covariance agree on the same draws
@@ -176,7 +176,10 @@ class TestClosedFormCheck:
 
     def test_allocation_budget(self):
         # the draw, the stacked channel, the solve and the filter SNRs all run
-        # on row blocks, so the peak does not grow with trials
+        # on row blocks, so the peak does not grow with trials; a 4096-row
+        # block of 4x4x4 peaks at about 3.7 MiB.  The first call is not
+        # traced: it imports parts of numpy once per process
+        closed_form_check(4, 4, 4, 1.0, 1, 3)
         for trials in (10000, 2**17):
             tracemalloc.start()
             try:
@@ -184,7 +187,7 @@ class TestClosedFormCheck:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 16 * 2**20, trials
+            assert peak < 4 * 2**20, trials
 
     @pytest.mark.parametrize("name,wrong,column", [
         ("mmse_post_snr", lambda *gains: mmse_post_snr(*gains) * (1 + 1e-6), 0),
